@@ -1,5 +1,5 @@
 // rdtsc-cycle A/B of the in-node search kernels: std::lower_bound (scalar)
-// vs branchless vs SSE2 vs AVX2, across the node widths both trees actually
+// vs branchless vs AVX2, across the node widths both trees actually
 // use. Every descent level of every query and relabel runs exactly one of
 // these, so cycles saved here multiply by (tree height × op count).
 //
@@ -115,9 +115,6 @@ int main() {
       {search::Kernel::kScalar, search::LowerBoundScalar},
       {search::Kernel::kBranchless, search::LowerBoundBranchless},
   };
-  if (search::KernelAvailable(search::Kernel::kSse2)) {
-    kernels.push_back({search::Kernel::kSse2, search::LowerBoundSse2});
-  }
   if (search::KernelAvailable(search::Kernel::kAvx2)) {
     kernels.push_back({search::Kernel::kAvx2, search::LowerBoundAvx2});
   }

@@ -463,8 +463,10 @@ void LTree::Relabel(Node* t, Label num, uint32_t from_child,
   if (t->IsLeaf()) {
     if (t->num != num) {
       if (t->num != kInvalidLabel) {
+        // A tombstone's slot move is paid for (the paper's relabel cost)
+        // but nobody outside the tree can observe it.
         if (count_stats) ++stats_.leaves_relabeled;
-        if (listener_ != nullptr) {
+        if (listener_ != nullptr && !t->deleted) {
           listener_->OnRelabel(t->cookie, t->num, num);
         }
       }

@@ -18,16 +18,17 @@ inline constexpr Label kInvalidLabel = ~Label{0};
 /// Callbacks fired by a labeling scheme as its label state evolves, so
 /// external indexes (the label column of a node table, a replication
 /// change-feed) can be kept in sync. Bulk loading assigns initial labels
-/// and does not fire the listener; incremental maintenance does.
+/// and does not fire the listener; incremental maintenance does. The
+/// listener only ever hears about live items: an erased item's last event
+/// is its OnErase.
 class RelabelListener {
  public:
   virtual ~RelabelListener() = default;
 
-  /// An existing item's label changed during relabeling. Never fired for
-  /// the item an insertion is currently adding (the caller knows its label
-  /// from the returned handle). Tombstoning schemes may fire this for
-  /// already erased items whose slots a rebuild shuffles — consumers that
-  /// only track live state must filter on their own liveness records.
+  /// An existing live item's label changed during relabeling. Never fired
+  /// for the item an insertion is currently adding (the caller knows its
+  /// label from the returned handle), nor for the tombstoned slots of
+  /// erased items that a rebuild moves.
   virtual void OnRelabel(LeafCookie cookie, Label old_label,
                          Label new_label) = 0;
 

@@ -86,8 +86,8 @@ class LTreeStore : public LabelStore, private RelabelListener {
                            std::vector<ItemHandle>* handles) override;
   Status EraseImpl(ItemHandle h) override;
   // GetLabel/GetCookie read only the atomic slot table and atomic leaf
-  // fields, so the LabelOfRead/CookieOfRead defaults are already lock-free
-  // safe for this store.
+  // fields, so the guard-based LabelOf/CookieOf/CompareOrder, which call
+  // them directly, are lock-free safe for this store.
   void SnapshotImpl(
       std::vector<std::pair<Label, LeafCookie>>* out) const override;
   epoch::EpochManager* epoch_manager() const override { return &epoch_; }
@@ -179,7 +179,8 @@ class VirtualLTreeStore : public LabelStore, private RelabelListener {
  private:
   /// Per-handle state, one published slot per handle ever issued. All
   /// fields are atomic so guarded readers can load them lock-free; the
-  /// writer keeps label current through OnRelabel.
+  /// writer keeps a live slot's label current through OnRelabel (an
+  /// erased slot's label goes stale, and nothing reads it).
   struct VSlot {
     AtomicCell<Label> label;
     AtomicCell<LeafCookie> cookie;

@@ -119,6 +119,8 @@ struct MaintStats {
   /// that went down a native batch path; fallback per-item loops count 0).
   uint64_t batch_inserts = 0;
   /// Existing items whose label changed (excludes the inserted item itself).
+  /// Tombstoned slots count too, since rewriting them is the paper's cost,
+  /// so with erases this can exceed the number of listener OnRelabel calls.
   uint64_t items_relabeled = 0;
   /// Rebalance/renumber events (splits for the L-Tree, window
   /// redistributions for Bender, full renumberings for Gap/Sequential).
@@ -343,14 +345,6 @@ class LabelStore {
   virtual Status PushBackBatchImpl(std::span<const LeafCookie> cookies,
                                    std::vector<ItemHandle>* handles);
   virtual Status EraseImpl(ItemHandle h) = 0;
-
-  /// Guard-protected single reads. Lock-free schemes override with
-  /// atomics-only implementations; the default forwards to the plain
-  /// queries, correct under the serialized guard's shared lock.
-  virtual Result<Label> LabelOfRead(ItemHandle h) const { return GetLabel(h); }
-  virtual Result<LeafCookie> CookieOfRead(ItemHandle h) const {
-    return GetCookie(h);
-  }
 
   /// (label, cookie) of every live item in list order; called with the
   /// shared lock held (writers excluded).

@@ -13,25 +13,22 @@
 namespace ltree {
 namespace store {
 
-// One shard: the labeling scheme, its versioned feed, and the live-item
-// registry (cookie -> handle/doc). The ctx is itself the scheme's
-// RelabelListener — the "feed tap" that turns listener callbacks into
-// versioned feed events. Relabels of tombstoned slots (cookies no longer
-// in `live`) are filtered out so the feed tracks live state only.
+// One shard: the labeling scheme and its versioned feed. The ctx is itself
+// the scheme's RelabelListener — the "feed tap" that turns listener
+// callbacks into versioned feed events. Schemes report live items only, so
+// the tap just holds back the items the current call is creating or
+// rolling back: their cookies are >= the store's next cookie, which
+// advances past them only once the scheme call has returned OK.
 struct DocumentStore::ShardCtx : RelabelListener {
-  struct LiveItem {
-    listlab::ItemHandle handle = listlab::kInvalidItemHandle;
-    DocId doc = 0;
-  };
-
-  ShardCtx(std::unique_ptr<listlab::LabelStore> s, uint64_t feed_capacity)
-      : store(std::move(s)), feed(feed_capacity) {
+  ShardCtx(std::unique_ptr<listlab::LabelStore> s, uint64_t feed_capacity,
+           const LeafCookie* next_cookie)
+      : store(std::move(s)), feed(feed_capacity), next_cookie(next_cookie) {
     store->set_listener(this);
   }
 
   void OnRelabel(LeafCookie cookie, Label old_label,
                  Label new_label) override {
-    if (live.find(cookie) == live.end()) return;  // tombstone shuffle
+    if (cookie >= *next_cookie) return;  // fresh item of the current call
     feed.Append({.kind = FeedEvent::Kind::kRelabel,
                  .cookie = cookie,
                  .old_label = old_label,
@@ -40,7 +37,7 @@ struct DocumentStore::ShardCtx : RelabelListener {
   }
 
   void OnErase(LeafCookie cookie, Label last_label) override {
-    if (live.find(cookie) == live.end()) return;  // rolled-back batch item
+    if (cookie >= *next_cookie) return;  // rolled-back batch item
     feed.Append({.kind = FeedEvent::Kind::kErase,
                  .cookie = cookie,
                  .old_label = last_label,
@@ -50,7 +47,7 @@ struct DocumentStore::ShardCtx : RelabelListener {
 
   std::unique_ptr<listlab::LabelStore> store;
   ChangeFeed feed;
-  std::unordered_map<LeafCookie, LiveItem> live;
+  const LeafCookie* next_cookie;  // the owning store's next_cookie_
   uint64_t inserts_published = 0;
   uint64_t erases_published = 0;
   uint64_t relabels_published = 0;
@@ -75,8 +72,8 @@ Result<std::unique_ptr<DocumentStore>> DocumentStore::Make(
   std::unique_ptr<DocumentStore> out(new DocumentStore(options));
   out->shards_.reserve(options.num_shards);
   for (auto& scheme : schemes) {
-    out->shards_.push_back(
-        std::make_unique<ShardCtx>(std::move(scheme), options.feed_capacity));
+    out->shards_.push_back(std::make_unique<ShardCtx>(
+        std::move(scheme), options.feed_capacity, &out->next_cookie_));
   }
   return out;
 }
@@ -105,10 +102,7 @@ Status DocumentStore::DropDocument(DocId doc) {
   LTREE_ASSIGN_OR_RETURN(DocState * state, FindDoc(doc));
   ShardCtx& ctx = *shards_[state->shard];
   for (const listlab::ItemHandle handle : state->items) {
-    LTREE_ASSIGN_OR_RETURN(const LeafCookie cookie,
-                           ctx.store->GetCookie(handle));
     LTREE_RETURN_IF_ERROR(ctx.store->Erase(handle));  // tap publishes kErase
-    ctx.live.erase(cookie);
     ++ledger_.erases;
   }
   docs_.erase(doc);
@@ -140,14 +134,13 @@ Result<const DocumentStore::DocState*> DocumentStore::FindDoc(
   return &it->second;
 }
 
-void DocumentStore::PublishInsert(ShardCtx& ctx, DocId doc, LeafCookie cookie,
+void DocumentStore::PublishInsert(ShardCtx& ctx, LeafCookie cookie,
                                   listlab::ItemHandle handle) {
   ctx.feed.Append({.kind = FeedEvent::Kind::kInsert,
                    .cookie = cookie,
                    .old_label = kInvalidLabel,
                    .new_label = ctx.store->GetLabel(handle).ValueOrDie()});
   ++ctx.inserts_published;
-  ctx.live[cookie] = {.handle = handle, .doc = doc};
   ++ledger_.inserts;
 }
 
@@ -181,7 +174,7 @@ Result<LeafCookie> DocumentStore::InsertOne(DocId doc, uint64_t rank,
                                           : rank + 1;
   state->items.insert(state->items.begin() + static_cast<ptrdiff_t>(at),
                       *inserted);
-  PublishInsert(ctx, doc, cookie, *inserted);
+  PublishInsert(ctx, cookie, *inserted);
   AutoValidate("Insert");
   return cookie;
 }
@@ -234,7 +227,7 @@ Status DocumentStore::InsertBatchAfterRank(DocId doc, uint64_t rank,
   state->items.insert(state->items.begin() + static_cast<ptrdiff_t>(at),
                       handles.begin(), handles.end());
   for (uint64_t i = 0; i < count; ++i) {
-    PublishInsert(ctx, doc, fresh[i], handles[i]);
+    PublishInsert(ctx, fresh[i], handles[i]);
   }
   if (cookies != nullptr) {
     cookies->insert(cookies->end(), fresh.begin(), fresh.end());
@@ -252,10 +245,8 @@ Status DocumentStore::EraseAt(DocId doc, uint64_t rank) {
                               std::to_string(state->items.size()));
   }
   ShardCtx& ctx = *shards_[state->shard];
-  const listlab::ItemHandle handle = state->items[rank];
-  LTREE_ASSIGN_OR_RETURN(const LeafCookie cookie, ctx.store->GetCookie(handle));
-  LTREE_RETURN_IF_ERROR(ctx.store->Erase(handle));  // tap publishes kErase
-  ctx.live.erase(cookie);
+  LTREE_RETURN_IF_ERROR(
+      ctx.store->Erase(state->items[rank]));  // tap publishes kErase
   state->items.erase(state->items.begin() + static_cast<ptrdiff_t>(rank));
   ++ledger_.erases;
   AutoValidate("EraseAt");
@@ -318,17 +309,21 @@ listlab::LabelStore::ReadGuard DocumentStore::AcquireShardRead(
 
 std::vector<std::pair<Label, LeafCookie>> DocumentStore::ShardState(
     uint32_t shard) const {
-  const ShardCtx& ctx = *shards_[shard];
-  // One guard over all the label reads: the snapshot stays consistent even
-  // if another thread is mutating a *different* shard, and label loads are
-  // safe against this shard's writer (ctx.live itself is store-level state
-  // and still relies on the store's thread-compatible contract).
-  const listlab::LabelStore::ReadGuard guard = ctx.store->AcquireRead();
+  const listlab::LabelStore& scheme = *shards_[shard]->store;
+  // One guard over all the reads keeps label loads safe against this
+  // shard's writer. The document registry is store-level state: edits to
+  // other shards' documents leave the fields read here untouched, but
+  // creating or dropping documents still needs the store's
+  // thread-compatible contract.
+  const listlab::LabelStore::ReadGuard guard = scheme.AcquireRead();
   std::vector<std::pair<Label, LeafCookie>> out;
-  out.reserve(ctx.live.size());
-  for (const auto& [cookie, item] : ctx.live) {
-    out.emplace_back(ctx.store->LabelOf(guard, item.handle).ValueOrDie(),
-                     cookie);
+  out.reserve(scheme.size());
+  for (const auto& [doc, state] : docs_) {
+    if (state.shard != shard) continue;
+    for (const listlab::ItemHandle handle : state.items) {
+      out.emplace_back(scheme.LabelOf(guard, handle).ValueOrDie(),
+                       scheme.CookieOf(guard, handle).ValueOrDie());
+    }
   }
   std::sort(out.begin(), out.end());
   return out;
@@ -488,8 +483,11 @@ void DocumentStore::ValidateStoreLevel(audit::Report* out) const {
                            "docstore:/shard" + std::to_string(i) + "/feed");
   }
 
-  // shard-routing: registry <-> shards form a bijection.
-  std::vector<uint64_t> items_per_shard(shards_.size(), 0);
+  // shard-routing: the document registry and the shard schemes form a
+  // bijection — every registered handle is live in its shard, none is
+  // registered twice, and each shard holds no live item beyond them.
+  std::vector<std::vector<listlab::ItemHandle>> handles_per_shard(
+      shards_.size());
   for (const auto& [doc, state] : docs_) {
     const std::string doc_path = "docstore:/doc" + std::to_string(doc);
     if (state.shard >= shards_.size()) {
@@ -504,40 +502,33 @@ void DocumentStore::ValidateStoreLevel(audit::Report* out) const {
                      " but registry holds shard " +
                      std::to_string(state.shard));
     }
-    const ShardCtx& ctx = *shards_[state.shard];
-    items_per_shard[state.shard] += state.items.size();
+    const listlab::LabelStore& scheme = *shards_[state.shard]->store;
     for (const listlab::ItemHandle handle : state.items) {
-      const auto cookie = ctx.store->GetCookie(handle);
-      if (!cookie.ok()) {
+      const Status resolved = scheme.GetCookie(handle).status();
+      if (!resolved.ok()) {
         report.Add(doc_path, "shard-routing",
                    "item handle " + std::to_string(handle) +
                        " does not resolve in its shard store: " +
-                       cookie.status().ToString());
-        continue;
+                       resolved.ToString());
       }
-      const auto live = ctx.live.find(*cookie);
-      if (live == ctx.live.end() || live->second.handle != handle ||
-          live->second.doc != doc) {
-        report.Add(doc_path, "shard-routing",
-                   "cookie " + std::to_string(*cookie) +
-                       " not registered to this document/handle in the "
-                       "shard live table");
-      }
+      handles_per_shard[state.shard].push_back(handle);
     }
   }
   for (uint32_t i = 0; i < num_shards(); ++i) {
     const ShardCtx& ctx = *shards_[i];
     const std::string path = "docstore:/shard" + std::to_string(i);
-    if (items_per_shard[i] != ctx.live.size()) {
+    std::vector<listlab::ItemHandle>& handles = handles_per_shard[i];
+    std::sort(handles.begin(), handles.end());
+    const auto dup = std::adjacent_find(handles.begin(), handles.end());
+    if (dup != handles.end()) {
       report.Add(path, "shard-routing",
-                 "documents register " + std::to_string(items_per_shard[i]) +
-                     " items but the live table holds " +
-                     std::to_string(ctx.live.size()));
+                 "item handle " + std::to_string(*dup) +
+                     " is registered more than once");
     }
-    if (ctx.live.size() != ctx.store->size()) {
+    if (handles.size() != ctx.store->size()) {
       report.Add(path, "shard-routing",
-                 "live table holds " + std::to_string(ctx.live.size()) +
-                     " cookies but the scheme reports " +
+                 "documents register " + std::to_string(handles.size()) +
+                     " items but the scheme reports " +
                      std::to_string(ctx.store->size()) + " live items");
     }
     // feed publication counters vs the feed's own sequence clock.

@@ -11,11 +11,11 @@
 // Outward-facing state: every mutation is published to the owning shard's
 // ChangeFeed (change_feed.h) with a per-shard sequence number —
 //
-//   * kInsert / kErase events are appended by this store around the
-//     LabelStore call (erase via the RelabelListener::OnErase hook);
-//   * kRelabel events flow from the scheme's RelabelListener; relabels of
-//     tombstoned (already erased) slots are filtered out, so the feed
-//     describes exactly the evolution of the live label state;
+//   * kInsert events are appended by this store after the LabelStore call
+//     returns; kErase events flow from the RelabelListener::OnErase hook;
+//   * kRelabel events flow from the scheme's RelabelListener, which fires
+//     for live items only (tombstone slot moves stay inside the scheme), so
+//     the feed describes exactly the evolution of the live label state;
 //
 // and a subscriber holding a StateVector (shard -> last applied seq) calls
 // CatchUp(shard, seq) to receive either the missing event suffix or — when
@@ -25,8 +25,10 @@
 //
 // Documents address their items by rank (matching workload::ListOp), and a
 // shard's LabelStore holds the items of every document routed to it; item
-// cookies are assigned by this store and are unique store-wide, so feed
-// events are unambiguous across documents.
+// cookies are assigned by this store in increasing order and no two
+// published items share one, so feed events are unambiguous across
+// documents. Which items are live is the schemes' knowledge alone: the
+// store keeps only the per-document handle lists.
 
 #ifndef LTREE_STORE_DOCUMENT_STORE_H_
 #define LTREE_STORE_DOCUMENT_STORE_H_
@@ -213,8 +215,9 @@ class DocumentStore {
   /// Store-level deep audit. Absorbs each shard scheme's Validate() and
   /// feed continuity audit, then checks the subsystem rules:
   ///   * "shard-routing"  — every document resolves to exactly the shard
-  ///     that holds its items; handles, cookies and the per-shard live
-  ///     registry form a bijection; live counts conserve;
+  ///     that holds its items; the registered handles and each shard's
+  ///     live items form a bijection (every handle resolves, none is
+  ///     registered twice, counts agree);
   ///   * "feed-continuity" — per-shard sequence numbers are contiguous in
   ///     the retained window and conserve against the trim counter;
   ///   * "stats-rollup"   — per-shard MaintStats sums, the store's own
@@ -257,7 +260,7 @@ class DocumentStore {
   /// assignment, registry update, feed publication.
   Result<LeafCookie> InsertOne(DocId doc, uint64_t rank, bool before,
                                bool append);
-  void PublishInsert(ShardCtx& ctx, DocId doc, LeafCookie cookie,
+  void PublishInsert(ShardCtx& ctx, LeafCookie cookie,
                      listlab::ItemHandle handle);
   // Feed continuity + shard-routing + stats-rollup, without the per-shard
   // scheme deep audits; this is what AutoValidate re-runs per mutation.

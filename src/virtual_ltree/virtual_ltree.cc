@@ -265,7 +265,7 @@ Status VirtualLTree::RebuildWithPending(uint32_t vh, Label anchor,
         if (fresh_labels != nullptr) fresh_labels->push_back(assigned[i]);
       } else if (old.key != assigned[i]) {
         ++stats_.labels_rewritten;
-        if (listener_ != nullptr) {
+        if (listener_ != nullptr && !UnpackDeleted(old.value)) {
           listener_->OnRelabel(UnpackCookie(old.value), old.key,
                                assigned[i]);
         }
@@ -325,7 +325,7 @@ Status VirtualLTree::RebuildWithPending(uint32_t vh, Label anchor,
       if (fresh_labels != nullptr) fresh_labels->push_back(assigned[i]);
     } else if (old.key != assigned[i]) {
       ++stats_.labels_rewritten;
-      if (listener_ != nullptr) {
+      if (listener_ != nullptr && !UnpackDeleted(old.value)) {
         listener_->OnRelabel(UnpackCookie(old.value), old.key, assigned[i]);
       }
     }
@@ -338,7 +338,7 @@ Status VirtualLTree::RebuildWithPending(uint32_t vh, Label anchor,
     rebuilt.push_back({sib.key + shift, sib.value});
     if (shift != 0) {
       ++stats_.labels_rewritten;
-      if (listener_ != nullptr) {
+      if (listener_ != nullptr && !UnpackDeleted(sib.value)) {
         listener_->OnRelabel(UnpackCookie(sib.value), sib.key,
                              sib.key + shift);
       }
@@ -393,7 +393,7 @@ Status VirtualLTree::InsertCore(Label parent_base, uint64_t j,
       LTREE_CHECK(shifted < slot_end);
       rebuilt.push_back({shifted, old.value});
       ++stats_.labels_rewritten;
-      if (listener_ != nullptr) {
+      if (listener_ != nullptr && !UnpackDeleted(old.value)) {
         listener_->OnRelabel(UnpackCookie(old.value), old.key, shifted);
       }
     }

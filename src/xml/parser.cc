@@ -263,6 +263,10 @@ class Parser {
     if (AtEnd() || Peek() != '<') {
       return Status::ParseError(Where("expected '<'"));
     }
+    if (depth_ == kMaxElementDepth) {
+      return Status::ParseError(Where(StrFormat(
+          "element nesting deeper than %zu levels", kMaxElementDepth)));
+    }
     Advance();
     LTREE_ASSIGN_OR_RETURN(std::string tag, ParseName());
     Node* element = doc->CreateElement(std::move(tag));
@@ -271,7 +275,9 @@ class Parser {
     if (!Consume(">")) {
       return Status::ParseError(Where("malformed start tag"));
     }
+    ++depth_;
     LTREE_RETURN_IF_ERROR(ParseContent(doc, element));
+    --depth_;
     // ParseContent consumed "</".
     LTREE_ASSIGN_OR_RETURN(std::string close, ParseName());
     if (close != element->tag) {
@@ -355,6 +361,7 @@ class Parser {
   size_t pos_ = 0;
   size_t line_ = 1;
   size_t col_ = 1;
+  size_t depth_ = 0;  // elements currently open
 };
 
 }  // namespace

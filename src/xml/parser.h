@@ -6,6 +6,7 @@
 #ifndef LTREE_XML_PARSER_H_
 #define LTREE_XML_PARSER_H_
 
+#include <cstddef>
 #include <string_view>
 
 #include "common/result.h"
@@ -14,6 +15,12 @@
 namespace ltree {
 namespace xml {
 
+/// Deepest element nesting Parse accepts; the root is depth 1. The parser
+/// recurses once per open element, so deeper input is a ParseError rather
+/// than a stack overflow. 256 is libxml2's default cap too, and leaves a
+/// wide stack margin even in sanitizer builds (under 1 MB at the limit).
+inline constexpr size_t kMaxElementDepth = 256;
+
 struct ParseOptions {
   /// Keep text nodes that consist solely of whitespace (default: dropped,
   /// which is what layout-indented XML wants).
@@ -21,6 +28,7 @@ struct ParseOptions {
 };
 
 /// Parses a complete XML document. Errors carry line/column context.
+/// Nesting past kMaxElementDepth is a ParseError.
 Result<Document> Parse(std::string_view input,
                        const ParseOptions& options = ParseOptions());
 

@@ -200,6 +200,29 @@ TEST(DocumentStoreTest, BatchInsertPublishesEveryItem) {
   EXPECT_TRUE(store->Validate().ok());
 }
 
+TEST(DocumentStoreTest, FailedBatchPublishesNothing) {
+  // Gaps of 2^62 leave room for three appends after label 0; the fourth
+  // overflows, so the scheme rolls the batch back by erasing its prefix.
+  auto store = MakeStore(
+      {.num_shards = 1, .scheme_spec = "gap:4611686018427387904"});
+  ASSERT_TRUE(store->CreateDocument(1).ok());
+  const LeafCookie first = store->Append(1).ValueOrDie();
+  const uint64_t seq = store->feed(0).last_seq();
+  EXPECT_TRUE(store->InsertBatchAfterRank(1, 0, 8).IsCapacityExceeded());
+  EXPECT_EQ(store->feed(0).last_seq(), seq);
+  EXPECT_EQ(store->DocSize(1).ValueOrDie(), 1u);
+  const audit::Report report = store->Validate();
+  EXPECT_TRUE(report.ok()) << report.ToString();
+
+  // The store is still usable and its snapshot matches the registry.
+  const LeafCookie second = store->Append(1).ValueOrDie();
+  EXPECT_EQ(store->feed(0).last_seq(), seq + 1);
+  const std::vector<std::pair<Label, LeafCookie>> want = {
+      {0, first}, {Label{1} << 62, second}};
+  EXPECT_EQ(store->ShardState(0), want);
+  EXPECT_TRUE(store->Validate().ok());
+}
+
 TEST(DocumentStoreTest, ApplyClampsRanksAndHandlesEmptyDocs) {
   auto store = MakeStore({.num_shards = 2});
   ASSERT_TRUE(store->CreateDocument(1).ok());
@@ -243,7 +266,7 @@ TEST(DocumentStoreTest, FeedCarriesLiveHistoryOnly) {
     ASSERT_TRUE(store->InsertBeforeRank(1, 0).ok());
   }
   // Replaying the feed into a cookie->label map must reproduce the live
-  // state exactly (tombstone shuffles are filtered at the tap).
+  // state exactly (schemes never report tombstone shuffles).
   std::unordered_map<LeafCookie, Label> replay;
   const std::vector<FeedEvent> events =
       store->feed(0).EventsSince(0).ValueOrDie();
@@ -417,11 +440,25 @@ TEST(DocumentStoreAuditTest, PhantomItemIsReported) {
   EXPECT_TRUE(report.HasRule("shard-routing"));
 }
 
+TEST(DocumentStoreAuditTest, DoublyRegisteredHandleIsReported) {
+  auto store = MakeStore({.num_shards = 1});
+  ASSERT_TRUE(store->CreateDocument(1).ok());
+  ASSERT_TRUE(store->Append(1).ok());
+  // The document's only item is the shard's first handle.
+  DocumentStoreTestPeer::AddPhantomItem(store.get(), 1,
+                                        listlab::ItemHandle{0});
+  const audit::Report report = store->Validate();
+  EXPECT_TRUE(report.HasRule("shard-routing"));
+  EXPECT_NE(report.ToString().find("registered more than once"),
+            std::string::npos)
+      << report.ToString();
+}
+
 TEST(DocumentStoreAuditTest, ForgottenDocumentBreaksConservation) {
   auto store = MakeStore({.num_shards = 2});
   ASSERT_TRUE(store->CreateDocument(1).ok());
   ASSERT_TRUE(store->Append(1).ok());
-  // Dropping the registry entry orphans the item in the shard live table.
+  // Dropping the registry entry orphans the item in its shard scheme.
   DocumentStoreTestPeer::ForgetDocument(store.get(), 1);
   const audit::Report report = store->Validate();
   EXPECT_FALSE(report.ok());

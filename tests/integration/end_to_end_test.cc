@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -23,6 +24,12 @@ struct EndToEndCase {
   const char* spec;
   uint64_t books;
 };
+
+// Keeps the ctest test names stable: gtest's default printout is the raw
+// struct bytes, which include the address of `spec`.
+void PrintTo(const EndToEndCase& c, std::ostream* os) {
+  *os << c.spec << " x" << c.books;
+}
 
 class EndToEndTest : public ::testing::TestWithParam<EndToEndCase> {};
 

@@ -365,6 +365,73 @@ INSTANTIATE_TEST_SUITE_P(Schemes, ListenerTest,
                            return name;
                          });
 
+// The listener hears about live items only: once an item's OnErase has
+// fired, no later OnRelabel or OnErase may carry its cookie, even when a
+// split rebuilds the region holding its tombstone.
+class RecordingListener : public RelabelListener {
+ public:
+  void OnRelabel(LeafCookie cookie, Label, Label) override {
+    relabeled.push_back(cookie);
+  }
+  void OnErase(LeafCookie cookie, Label) override { erased.push_back(cookie); }
+  std::vector<LeafCookie> relabeled;
+  std::vector<LeafCookie> erased;
+};
+
+class ListenerContractTest : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(ListenerContractTest, ErasedItemsNeverFireAgain) {
+  auto m = MakeLabelStore(GetParam()).ValueOrDie();
+  RecordingListener listener;
+  m->set_listener(&listener);
+  std::vector<ItemHandle> ids;
+  ASSERT_TRUE(m->BulkLoad(64, &ids).ok());  // cookies 0..63
+
+  // Erase a band in the middle; each erase reports its own cookie once.
+  std::vector<LeafCookie> band;
+  for (LeafCookie c = 20; c < 36; ++c) {
+    ASSERT_TRUE(m->Erase(ids[c]).ok());
+    band.push_back(c);
+  }
+  EXPECT_EQ(listener.erased, band) << m->name();
+  listener.relabeled.clear();
+  listener.erased.clear();
+
+  // Pile inserts onto both edges of the band until splits rebuild it.
+  const uint64_t relabeled_before = m->stats().items_relabeled;
+  for (int i = 0; i < 400; ++i) {
+    ASSERT_TRUE(m->InsertAfter(ids[19], 1000 + 2 * i).ok());
+    ASSERT_TRUE(m->InsertBefore(ids[36], 1001 + 2 * i).ok());
+  }
+  ASSERT_TRUE(m->CheckInvariants().ok()) << m->name();
+  EXPECT_TRUE(listener.erased.empty()) << m->name();
+  for (const LeafCookie cookie : listener.relabeled) {
+    ASSERT_FALSE(cookie >= 20 && cookie < 36)
+        << m->name() << ": OnRelabel for erased cookie " << cookie;
+  }
+  // Tombstone slots still count as relabeled (the paper's cost), so plain
+  // tombstoning schemes report more relabels than the listener heard.
+  const uint64_t relabeled = m->stats().items_relabeled - relabeled_before;
+  if (m->erase_semantics() == EraseSemantics::kTombstone) {
+    EXPECT_GT(relabeled, listener.relabeled.size()) << m->name();
+  } else {
+    EXPECT_GE(relabeled, listener.relabeled.size()) << m->name();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Schemes, ListenerContractTest,
+                         ::testing::Values("sequential", "gap:16", "bender",
+                                           "bender:0.75", "ltree:4:2",
+                                           "ltree:4:2:purge", "virtual:4:2",
+                                           "virtual:4:2:purge"),
+                         [](const auto& info) {
+                           std::string name = info.param;
+                           for (char& c : name) {
+                             if (c == ':' || c == '.') c = '_';
+                           }
+                           return name;
+                         });
+
 // ---------------------------------------------------------------------------
 // Seed-golden maintenance stats: the paper-fidelity gate for perf work.
 // The expected numbers were captured from the seed (pre-arena) build over a

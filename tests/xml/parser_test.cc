@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+
 #include "xml/serializer.h"
 
 namespace ltree {
@@ -110,6 +113,11 @@ struct BadCase {
   const char* input;
 };
 
+// Without this, gtest prints the case as the raw bytes of its two pointers,
+// and those bytes reach the ctest test names, which then change with every
+// build and run under address-space randomisation.
+void PrintTo(const BadCase& c, std::ostream* os) { *os << c.name; }
+
 class ParserErrorTest : public ::testing::TestWithParam<BadCase> {};
 
 TEST_P(ParserErrorTest, RejectsMalformedInput) {
@@ -139,6 +147,47 @@ INSTANTIATE_TEST_SUITE_P(
         BadCase{"UnterminatedAttr", "<a x=\"1/>"},
         BadCase{"BadName", "<1a/>"}),
     [](const auto& info) { return info.param.name; });
+
+std::string Nested(size_t depth) {
+  std::string out;
+  out.reserve(depth * 7);
+  for (size_t i = 0; i < depth; ++i) out += "<a>";
+  for (size_t i = 0; i < depth; ++i) out += "</a>";
+  return out;
+}
+
+TEST(ParserDepthTest, ParsesAtTheNestingLimit) {
+  auto doc = Parse(Nested(kMaxElementDepth));
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  EXPECT_EQ(doc->num_nodes(), kMaxElementDepth);
+}
+
+TEST(ParserDepthTest, RejectsOnePastTheLimit) {
+  auto doc = Parse(Nested(kMaxElementDepth + 1));
+  ASSERT_FALSE(doc.ok());
+  EXPECT_TRUE(doc.status().IsParseError());
+  // The error points at the offending start tag.
+  EXPECT_NE(doc.status().message().find(
+                "(line 1, column " + std::to_string(3 * kMaxElementDepth + 1) +
+                ")"),
+            std::string::npos)
+      << doc.status().ToString();
+}
+
+TEST(ParserDepthTest, SelfClosingElementCountsTowardTheLimit) {
+  std::string input;
+  for (size_t i = 1; i < kMaxElementDepth; ++i) input += "<a>";
+  input += "<b/>";
+  for (size_t i = 1; i < kMaxElementDepth; ++i) input += "</a>";
+  EXPECT_TRUE(Parse(input).ok());
+  EXPECT_TRUE(Parse("<a>" + input + "</a>").status().IsParseError());
+}
+
+TEST(ParserDepthTest, HundredThousandLevelsIsAParseErrorNotACrash) {
+  auto doc = Parse(Nested(100000));
+  ASSERT_FALSE(doc.ok());
+  EXPECT_TRUE(doc.status().IsParseError());
+}
 
 TEST(ParserRoundTripTest, SerializeParseIdentity) {
   const char* kDoc =
