@@ -81,7 +81,7 @@ ReplicationSession::Attempt ReplicationSession::TryOnce(uint32_t shard,
     *error = decoded.status();
     return Attempt::kRetryable;
   }
-  const Frame& frame = *decoded;
+  Frame& frame = *decoded;
 
   if (frame.type == FrameType::kError) {
     const Status server = ErrorFrameStatus(frame);
@@ -94,7 +94,8 @@ ReplicationSession::Attempt ReplicationSession::TryOnce(uint32_t shard,
       return Attempt::kRetryable;
     }
     // The server understood a well-formed request and refused it: that is
-    // a protocol-level disagreement, not weather.
+    // a protocol-level disagreement, not weather. OutOfRange (an answer too
+    // large to frame) lands here too: no retry can shrink it.
     NoteViolation(server);
     return Attempt::kViolation;
   }
@@ -127,7 +128,7 @@ ReplicationSession::Attempt ReplicationSession::TryOnce(uint32_t shard,
     return Attempt::kViolation;
   }
 
-  Result<store::CatchUpResult> result = ToCatchUpResult(frame);
+  Result<store::CatchUpResult> result = ToCatchUpResult(std::move(frame));
   if (!result.ok()) {
     *error = result.status();
     NoteViolation(*error);

@@ -34,11 +34,11 @@ std::vector<uint8_t> PrimaryEndpoint::Serve(
   const Frame& frame = *decoded;
   switch (frame.type) {
     case FrameType::kCatchUpRequest: {
-      const Result<store::CatchUpResult> result =
+      Result<store::CatchUpResult> result =
           primary_->CatchUp(frame.shard, frame.from_seq);
       if (!result.ok()) return EncodeFrame(MakeErrorFrame(result.status()));
-      return EncodeFrame(
-          MakeCatchUpResponseFrame(frame.shard, *result, frame.nonce));
+      return EncodeResponse(MakeCatchUpResponseFrame(
+          frame.shard, std::move(*result), frame.nonce));
     }
     case FrameType::kRegister: {
       if (registry_ == nullptr) {

@@ -8,7 +8,8 @@
 //     from a DocumentStore (CatchUp / RegisterSubscriber), and encodes
 //     the response frame. Malformed requests come back as kError
 //     (Corruption) frames; store-level errors cross the boundary as
-//     kError frames carrying the original status code. The
+//     kError frames carrying the original status code, and an answer
+//     too large to frame comes back as an OutOfRange kError frame. The
 //     "replica.serve" failpoint fires before any decoding so server-side
 //     outages are injectable.
 //

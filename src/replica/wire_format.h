@@ -41,9 +41,23 @@
 namespace ltree {
 namespace replica {
 
-/// CRC32C (Castagnoli polynomial, reflected 0x82F63B78), software
-/// slice-by-one table implementation — no hardware dependency.
+/// CRC32C (Castagnoli polynomial, reflected 0x82F63B78). The
+/// implementation is chosen once per process from cpuid: the SSE4.2
+/// `crc32` instruction, eight bytes per step, on x86-64 hosts that have
+/// it; a portable slice-by-8 table everywhere else. Both compute the same
+/// function, so the bytes on the wire do not depend on the host.
 uint32_t Crc32c(const uint8_t* data, size_t size);
+
+namespace internal {
+
+// Both CRC32C paths, exposed for the differential test and the fuzzer.
+// Production code calls Crc32c, which dispatches between them.
+uint32_t Crc32cPortable(const uint8_t* data, size_t size);
+/// Only valid when Crc32cHardwareAvailable().
+uint32_t Crc32cHardware(const uint8_t* data, size_t size);
+bool Crc32cHardwareAvailable();
+
+}  // namespace internal
 
 inline constexpr uint8_t kWireMagic0 = 'L';
 inline constexpr uint8_t kWireMagic1 = 'R';
@@ -95,9 +109,9 @@ Frame MakeCatchUpRequestFrame(uint32_t shard, uint64_t from_seq,
 
 /// A store::CatchUpResult crosses the wire as either a kDelta or a
 /// kSnapshot frame, depending on which path the primary chose. `nonce`
-/// echoes the provoking request's nonce.
-Frame MakeCatchUpResponseFrame(uint32_t shard,
-                               const store::CatchUpResult& result,
+/// echoes the provoking request's nonce. Pass an rvalue to move the
+/// event or snapshot vector into the frame instead of copying it.
+Frame MakeCatchUpResponseFrame(uint32_t shard, store::CatchUpResult result,
                                uint64_t nonce = 0);
 
 Frame MakeRegisterFrame(uint64_t subscriber, const store::StateVector& sv);
@@ -109,7 +123,19 @@ Frame MakeAckFrame();
 
 // ----------------------------------------------------- frame <-> bytes
 
+/// Exact length of EncodeFrame(frame), computed without encoding.
+size_t EncodedFrameSize(const Frame& frame);
+
+/// Requires a payload of at most kMaxPayloadBytes (see EncodeResponse).
 std::vector<uint8_t> EncodeFrame(const Frame& frame);
+
+/// EncodeFrame for a server's answer whose size the server does not
+/// control. A payload above kMaxPayloadBytes (a snapshot of a shard with
+/// more than ~4.19M live items) would be refused by every decoder as
+/// Corruption, which the peer cannot tell from line noise; it is replaced
+/// by an OutOfRange error frame, which the peer treats as a protocol
+/// violation.
+std::vector<uint8_t> EncodeResponse(const Frame& frame);
 
 /// Decodes exactly one frame occupying the whole buffer. Total: any input
 /// that is not a valid encoding yields Status::Corruption, never UB.
@@ -119,8 +145,9 @@ Result<Frame> DecodeFrame(const std::vector<uint8_t>& bytes);
 // ------------------------------------------------------- frame -> model
 
 /// Reassembles the store-level catch-up result from a kDelta or kSnapshot
-/// frame (InvalidArgument for other types).
-Result<store::CatchUpResult> ToCatchUpResult(const Frame& frame);
+/// frame (InvalidArgument for other types). Pass an rvalue to move the
+/// event or snapshot vector out of the frame instead of copying it.
+Result<store::CatchUpResult> ToCatchUpResult(Frame frame);
 
 /// The Status a kError frame carries (InvalidArgument for other types).
 Status ErrorFrameStatus(const Frame& frame);

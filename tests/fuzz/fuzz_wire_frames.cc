@@ -9,7 +9,10 @@
 //   * decode(bytes) ok  =>  encode(decode(bytes)) == bytes (canonical
 //     encoding: a valid frame has exactly one byte representation);
 //   * any accepted frame re-decodes to an identical frame (idempotence);
-//   * a single flipped bit in accepted bytes must be rejected.
+//   * a single flipped bit in accepted bytes must be rejected;
+//   * on every input, the portable CRC32C equals the dispatched Crc32c
+//     (the SSE4.2 path on x86-64 hosts that have it), so both paths meet
+//     arbitrary lengths and alignments.
 //
 // Run under ASan/UBSan (LTREE_SANITIZE) this is the memory-safety proof
 // for the decoder; the checked-in corpus seeds valid frames of every type
@@ -61,6 +64,11 @@ bool FramesEqual(const Frame& a, const Frame& b) {
 }  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
+  if (ltree::replica::internal::Crc32cPortable(data, size) !=
+      ltree::replica::Crc32c(data, size)) {
+    Die("portable and dispatched CRC32C disagree");
+  }
+
   const Result<Frame> decoded = DecodeFrame(data, size);
   if (!decoded.ok()) {
     // Rejection must be the decoder's one failure mode.

@@ -218,6 +218,25 @@ TEST_F(SessionTest, PersistentProtocolViolationsPoisonTheSession) {
   EXPECT_TRUE(session.Validate().ok()) << session.Validate().ToString();
 }
 
+TEST_F(SessionTest, OversizedResponseIsViolationNotWeather) {
+  // The endpoint's answer to a response too large to frame: retrying
+  // cannot shrink it, so it counts against the peer, not the network.
+  CannedTransport transport(MakeErrorFrame(
+      Status::OutOfRange("snapshot payload exceeds the frame limit")));
+  SessionOptions options = DefaultOptions();
+  options.poison_after = 3;
+  ReplicationSession session(mirror_.get(), &transport, &clock_, options);
+
+  const Status st = session.SyncShard(0);
+  EXPECT_TRUE(st.IsFailedPrecondition()) << st.ToString();
+  EXPECT_TRUE(session.poisoned());
+  EXPECT_EQ(session.stats().protocol_violations, 3u);
+  EXPECT_EQ(session.stats().wire_corruptions, 0u);
+  EXPECT_EQ(session.stats().server_retryable, 0u);
+  EXPECT_NE(session.poison_reason().find("OutOfRange"), std::string::npos)
+      << session.poison_reason();
+}
+
 TEST_F(SessionTest, SuccessResetsTheViolationStreak) {
   // Two violations, then service recovers: the streak must reset and the
   // session must stay healthy.

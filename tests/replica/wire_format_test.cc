@@ -2,7 +2,9 @@
 // CRC32C implementation), encode/decode round trips for every frame type
 // across all six labeling schemes, and total-decode guarantees — every
 // malformed input comes back as Status::Corruption, never as a frame and
-// never as undefined behavior.
+// never as undefined behavior. Also: both CRC32C paths against a bitwise
+// reference, the encoder against a byte-at-a-time oracle, and the
+// payload limit on responses.
 
 #include "replica/wire_format.h"
 
@@ -358,6 +360,318 @@ TEST(WireFormatCorruptionTest, RandomGarbageNeverDecodes) {
       EXPECT_TRUE(out.status().IsCorruption());
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// CRC32C: the hardware and portable paths against a bitwise reference.
+// ---------------------------------------------------------------------------
+
+// One polynomial step per bit, no tables: independent of both paths.
+uint32_t ReferenceCrc32c(const uint8_t* data, size_t size) {
+  uint32_t crc = 0xFFFFFFFFu;
+  for (size_t i = 0; i < size; ++i) {
+    crc ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ ((crc & 1) ? 0x82F63B78u : 0u);
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+std::vector<uint8_t> RandomBytes(Rng* rng, size_t n) {
+  std::vector<uint8_t> bytes(n);
+  for (uint8_t& b : bytes) b = static_cast<uint8_t>(rng->Next64());
+  return bytes;
+}
+
+using CrcFn = uint32_t (*)(const uint8_t*, size_t);
+
+// Every length 0..300 at every start offset 0..7 (the buffer itself is
+// 8-aligned), so each path's word loop and byte tail meet every split.
+void ExpectMatchesReferenceAtEveryLengthAndOffset(CrcFn crc) {
+  Rng rng(13);
+  const std::vector<uint8_t> buf = RandomBytes(&rng, 300 + 8);
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 300; ++len) {
+      const uint8_t* p = buf.data() + offset;
+      ASSERT_EQ(crc(p, len), ReferenceCrc32c(p, len))
+          << "offset " << offset << ", length " << len;
+    }
+  }
+}
+
+// 64 KB buffers of random, all-zero and all-one bytes.
+void ExpectMatchesReferenceOnLargeBuffers(CrcFn crc) {
+  Rng rng(17);
+  const size_t kSize = 64 * 1024;
+  for (const std::vector<uint8_t>& buf :
+       {RandomBytes(&rng, kSize), std::vector<uint8_t>(kSize, 0x00),
+        std::vector<uint8_t>(kSize, 0xFF)}) {
+    EXPECT_EQ(crc(buf.data(), buf.size()),
+              ReferenceCrc32c(buf.data(), buf.size()));
+  }
+}
+
+TEST(Crc32cDifferentialTest, PortableMatchesReference) {
+  ExpectMatchesReferenceAtEveryLengthAndOffset(internal::Crc32cPortable);
+  ExpectMatchesReferenceOnLargeBuffers(internal::Crc32cPortable);
+}
+
+TEST(Crc32cDifferentialTest, HardwareMatchesReference) {
+  if (!internal::Crc32cHardwareAvailable()) {
+    GTEST_SKIP() << "host has no SSE4.2 crc32 instruction";
+  }
+  ExpectMatchesReferenceAtEveryLengthAndOffset(internal::Crc32cHardware);
+  ExpectMatchesReferenceOnLargeBuffers(internal::Crc32cHardware);
+}
+
+// ---------------------------------------------------------------------------
+// Byte identity: the encoder against the byte-at-a-time one it replaced.
+// ---------------------------------------------------------------------------
+
+namespace oracle {
+
+// The encoder as it was before the word-at-a-time rewrite: one push_back
+// per byte into an unreserved vector, shifts for byte order. Only the CRC
+// differs: the bitwise reference replaces its byte table.
+void PutU8(std::vector<uint8_t>* out, uint8_t v) { out->push_back(v); }
+
+void PutU32(std::vector<uint8_t>* out, uint32_t v) {
+  for (int i = 0; i < 4; ++i) {
+    out->push_back(static_cast<uint8_t>(v >> (8 * i)));
+  }
+}
+
+void PutU64(std::vector<uint8_t>* out, uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    out->push_back(static_cast<uint8_t>(v >> (8 * i)));
+  }
+}
+
+void EncodePayload(const Frame& frame, std::vector<uint8_t>* out) {
+  switch (frame.type) {
+    case FrameType::kCatchUpRequest:
+      PutU32(out, frame.shard);
+      PutU64(out, frame.nonce);
+      PutU64(out, frame.from_seq);
+      return;
+    case FrameType::kDelta:
+      PutU32(out, frame.shard);
+      PutU64(out, frame.nonce);
+      PutU64(out, frame.from_seq);
+      PutU64(out, frame.to_seq);
+      PutU32(out, static_cast<uint32_t>(frame.events.size()));
+      for (const store::FeedEvent& event : frame.events) {
+        PutU64(out, event.seq);
+        PutU8(out, static_cast<uint8_t>(event.kind));
+        PutU64(out, event.cookie);
+        PutU64(out, event.old_label);
+        PutU64(out, event.new_label);
+      }
+      return;
+    case FrameType::kSnapshot:
+      PutU32(out, frame.shard);
+      PutU64(out, frame.nonce);
+      PutU64(out, frame.to_seq);
+      PutU32(out, static_cast<uint32_t>(frame.state.size()));
+      for (const auto& [label, cookie] : frame.state) {
+        PutU64(out, label);
+        PutU64(out, cookie);
+      }
+      return;
+    case FrameType::kRegister:
+      PutU64(out, frame.subscriber);
+      PutU32(out, static_cast<uint32_t>(frame.seqs.size()));
+      for (const uint64_t seq : frame.seqs) PutU64(out, seq);
+      return;
+    case FrameType::kError:
+      PutU32(out, static_cast<uint32_t>(frame.error_code));
+      PutU32(out, static_cast<uint32_t>(frame.error_message.size()));
+      for (const char c : frame.error_message) {
+        PutU8(out, static_cast<uint8_t>(c));
+      }
+      return;
+    case FrameType::kAck:
+      return;
+  }
+}
+
+std::vector<uint8_t> EncodeFrame(const Frame& frame) {
+  std::vector<uint8_t> out;
+  out.push_back(kWireMagic0);
+  out.push_back(kWireMagic1);
+  out.push_back(kWireVersion);
+  out.push_back(static_cast<uint8_t>(frame.type));
+  PutU32(&out, 0);  // payload length backpatched below
+  EncodePayload(frame, &out);
+  const uint32_t payload_len =
+      static_cast<uint32_t>(out.size() - kFrameHeaderBytes);
+  for (int i = 0; i < 4; ++i) {
+    out[4 + i] = static_cast<uint8_t>(payload_len >> (8 * i));
+  }
+  PutU32(&out, ReferenceCrc32c(out.data(), out.size()));
+  return out;
+}
+
+}  // namespace oracle
+
+constexpr FrameType kAllFrameTypes[] = {
+    FrameType::kCatchUpRequest, FrameType::kDelta, FrameType::kSnapshot,
+    FrameType::kRegister,       FrameType::kError, FrameType::kAck};
+
+// A frame of `type` with random values in exactly the fields that type
+// carries (decoded frames leave every other field zero), holding
+// `elements` events, entries, seqs or message bytes.
+Frame RandomFrame(Rng* rng, FrameType type, size_t elements) {
+  Frame frame;
+  frame.type = type;
+  switch (type) {
+    case FrameType::kCatchUpRequest:
+      frame.shard = static_cast<uint32_t>(rng->Next64());
+      frame.nonce = rng->Next64();
+      frame.from_seq = rng->Next64();
+      break;
+    case FrameType::kDelta:
+      frame.shard = static_cast<uint32_t>(rng->Next64());
+      frame.nonce = rng->Next64();
+      frame.from_seq = rng->Next64();
+      frame.to_seq = rng->Next64();
+      for (size_t i = 0; i < elements; ++i) {
+        store::FeedEvent event;
+        event.seq = rng->Next64();
+        event.kind = static_cast<store::FeedEvent::Kind>(rng->Uniform(3));
+        event.cookie = rng->Next64();
+        event.old_label = rng->Next64();
+        event.new_label = rng->Next64();
+        frame.events.push_back(event);
+      }
+      break;
+    case FrameType::kSnapshot:
+      frame.shard = static_cast<uint32_t>(rng->Next64());
+      frame.nonce = rng->Next64();
+      frame.to_seq = rng->Next64();
+      for (size_t i = 0; i < elements; ++i) {
+        frame.state.emplace_back(rng->Next64(), rng->Next64());
+      }
+      break;
+    case FrameType::kRegister:
+      frame.subscriber = rng->Next64();
+      for (size_t i = 0; i < elements; ++i) {
+        frame.seqs.push_back(rng->Next64());
+      }
+      break;
+    case FrameType::kError:
+      frame.error_code = static_cast<StatusCode>(rng->UniformRange(
+          static_cast<uint64_t>(StatusCode::kInvalidArgument),
+          static_cast<uint64_t>(StatusCode::kTimedOut)));
+      for (size_t i = 0; i < elements; ++i) {
+        frame.error_message.push_back(static_cast<char>(rng->Next64()));
+      }
+      break;
+    case FrameType::kAck:
+      break;
+  }
+  return frame;
+}
+
+void ExpectSameFrame(const Frame& a, const Frame& b) {
+  EXPECT_EQ(a.type, b.type);
+  EXPECT_EQ(a.shard, b.shard);
+  EXPECT_EQ(a.nonce, b.nonce);
+  EXPECT_EQ(a.from_seq, b.from_seq);
+  EXPECT_EQ(a.to_seq, b.to_seq);
+  EXPECT_EQ(a.subscriber, b.subscriber);
+  EXPECT_EQ(a.state, b.state);
+  EXPECT_EQ(a.seqs, b.seqs);
+  EXPECT_EQ(a.error_code, b.error_code);
+  EXPECT_EQ(a.error_message, b.error_message);
+  ASSERT_EQ(a.events.size(), b.events.size());
+  for (size_t i = 0; i < a.events.size(); ++i) {
+    EXPECT_EQ(a.events[i].seq, b.events[i].seq);
+    EXPECT_EQ(a.events[i].kind, b.events[i].kind);
+    EXPECT_EQ(a.events[i].cookie, b.events[i].cookie);
+    EXPECT_EQ(a.events[i].old_label, b.events[i].old_label);
+    EXPECT_EQ(a.events[i].new_label, b.events[i].new_label);
+  }
+}
+
+// Random frames of every type and a spread of sizes, including a delta
+// of 2000 events and a snapshot of 5000 entries.
+std::vector<Frame> SampleFrames() {
+  Rng rng(2024);
+  std::vector<Frame> frames;
+  for (const FrameType type : kAllFrameTypes) {
+    for (const size_t elements : {0, 1, 7, 64}) {
+      frames.push_back(RandomFrame(&rng, type, elements));
+    }
+    for (int trial = 0; trial < 8; ++trial) {
+      frames.push_back(RandomFrame(&rng, type, rng.Uniform(300)));
+    }
+  }
+  frames.push_back(RandomFrame(&rng, FrameType::kDelta, 2000));
+  frames.push_back(RandomFrame(&rng, FrameType::kSnapshot, 5000));
+  return frames;
+}
+
+TEST(WireFormatOracleTest, EncoderMatchesByteAtATimeOracle) {
+  for (const Frame& frame : SampleFrames()) {
+    SCOPED_TRACE(FrameTypeName(frame.type));
+    const std::vector<uint8_t> bytes = EncodeFrame(frame);
+    ASSERT_EQ(bytes, oracle::EncodeFrame(frame));
+    const Result<Frame> decoded = DecodeFrame(bytes);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    ExpectSameFrame(*decoded, frame);
+  }
+}
+
+TEST(WireFormatSizeTest, EncodedFrameSizeMatchesEncoding) {
+  for (const Frame& frame : SampleFrames()) {
+    EXPECT_EQ(EncodedFrameSize(frame), EncodeFrame(frame).size())
+        << FrameTypeName(frame.type);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Payload limit: an answer too large to frame is a typed error, not noise.
+// ---------------------------------------------------------------------------
+
+TEST(WireFormatLimitTest, ResponseWithinLimitEncodesAsItself) {
+  Rng rng(5);
+  for (const FrameType type : kAllFrameTypes) {
+    const Frame frame = RandomFrame(&rng, type, 100);
+    EXPECT_EQ(EncodeResponse(frame), EncodeFrame(frame))
+        << FrameTypeName(frame.type);
+  }
+}
+
+TEST(WireFormatLimitTest, OverLimitSnapshotIsRefusedAsOutOfRange) {
+  // Built directly: a store with ~4.19M live items is too slow for a test.
+  // A snapshot payload is a 24-byte header plus 16 bytes per entry, so
+  // this is the smallest entry count over kMaxPayloadBytes.
+  const size_t header = 4 + 8 + 8 + 4;
+  const size_t entries = (kMaxPayloadBytes - header) / 16 + 1;
+  Frame snapshot;
+  snapshot.type = FrameType::kSnapshot;
+  snapshot.shard = 3;
+  snapshot.nonce = 42;
+  snapshot.to_seq = 1000;
+  snapshot.state.reserve(entries);
+  snapshot.state.resize(entries - 1);
+  EXPECT_EQ(EncodedFrameSize(snapshot),
+            kFrameHeaderBytes + header + (entries - 1) * 16 +
+                kFrameTrailerBytes);
+  EXPECT_LE(EncodedFrameSize(snapshot),
+            kFrameHeaderBytes + kMaxPayloadBytes + kFrameTrailerBytes);
+  snapshot.state.emplace_back(1, 2);
+  EXPECT_GT(EncodedFrameSize(snapshot),
+            kFrameHeaderBytes + kMaxPayloadBytes + kFrameTrailerBytes);
+
+  const Result<Frame> answer = DecodeFrame(EncodeResponse(snapshot));
+  ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+  ASSERT_EQ(answer->type, FrameType::kError);
+  const Status refused = ErrorFrameStatus(*answer);
+  EXPECT_TRUE(refused.IsOutOfRange()) << refused.ToString();
+  EXPECT_NE(refused.message().find("snapshot"), std::string::npos);
 }
 
 }  // namespace
