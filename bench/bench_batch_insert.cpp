@@ -81,9 +81,9 @@ BatchRunResult RunBatched(const Params& params, uint64_t initial,
   out.wall_ms = timer.ElapsedMillis();
   out.op_latency = latency.Summarize();
   LTREE_CHECK_OK(tree->CheckInvariants());
-  const LTreeStats& st = tree->stats();
+  const MaintStats st = tree->stats();
   out.cost_per_leaf = st.AmortizedCostPerInsert();
-  out.splits = st.splits + st.root_splits;
+  out.splits = st.rebalances;
   out.relabel_passes = st.relabel_passes;
   out.escalations = st.escalations;
   out.coalesced_regions = st.coalesced_regions;

@@ -83,14 +83,16 @@ void Figure2() {
   auto d_begin = tree->InsertBefore(handles[2], 100).ValueOrDie();
   std::printf("(c) insert begin tag \"D\" before the leaf of \"C\": "
               "splits=%llu (paper: none), leaves relabeled=%llu\n",
-              (unsigned long long)tree->stats().splits,
-              (unsigned long long)tree->stats().leaves_relabeled);
+              (unsigned long long)(tree->stats().rebalances -
+                                  tree->stats().root_splits),
+              (unsigned long long)tree->stats().items_relabeled);
   PrintLeafLine(*tree);
 
   (void)tree->InsertAfter(d_begin, 101).ValueOrDie();
   std::printf("(d) insert end tag \"/D\": splits=%llu (paper: the height-1 "
               "node numbered \"begin-of-C\" splits into s=2)\n",
-              (unsigned long long)tree->stats().splits);
+              (unsigned long long)(tree->stats().rebalances -
+                                  tree->stats().root_splits));
   PrintLeafLine(*tree);
   std::printf("\nfinal structure:\n%s", tree->DebugString().c_str());
   LTREE_CHECK_OK(tree->CheckInvariants());

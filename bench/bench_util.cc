@@ -93,13 +93,13 @@ InsertRunResult RunInsertWorkload(
   }
   out.wall_seconds = timer.ElapsedSeconds();
 
-  const LTreeStats& st = tree->stats();
+  const MaintStats st = tree->stats();
   out.amortized_node_accesses = st.AmortizedCostPerInsert();
   out.relabels_per_insert =
       inserts == 0 ? 0.0
-                   : static_cast<double>(st.leaves_relabeled) /
+                   : static_cast<double>(st.items_relabeled) /
                          static_cast<double>(inserts);
-  out.splits = st.splits;
+  out.splits = st.rebalances - st.root_splits;
   out.root_splits = st.root_splits;
   out.label_bits = tree->label_bits();
   out.height = tree->height();

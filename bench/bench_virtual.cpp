@@ -12,7 +12,8 @@
 //     from 256-slot pool chunks, so this is chunk footprint plus per-node
 //     buffer capacities, not an estimate — and their ratio;
 //   * allocator traffic of the virtual side's counted B+-tree (the
-//     MaintStats counters the virtual store used to report as zeros);
+//     MaintStats nodes_* and arena_chunks counters VirtualLTree::stats()
+//     fills from the B+-tree's node pool);
 //   * fidelity: the two representations must produce identical labels.
 //
 // Usage:   bench_virtual [n1] [n2] [json_path]
@@ -113,7 +114,7 @@ VirtResult RunVirtual(const Params& p, uint64_t initial, uint64_t inserts) {
     ++created;
   }
   out.insert_ms = ins.ElapsedMillis();
-  const VirtualLTreeStats& st = tree->stats();
+  const MaintStats st = tree->stats();
   out.nodes_allocated = st.nodes_allocated;
   out.nodes_reused = st.nodes_reused;
   out.nodes_released = st.nodes_released;

@@ -96,7 +96,7 @@ int main(int argc, char** argv) {
   }
 
   const double secs = timer.ElapsedSeconds();
-  const auto& st = store->label_store().stats();
+  const MaintStats st = store->label_store().stats();
   std::printf("\n%d edits in %.3fs (%.1f us/edit)\n", edits, secs,
               1e6 * secs / edits);
   std::printf("books inserted=%llu deleted=%llu\n",

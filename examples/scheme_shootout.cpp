@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
     }
     if (!ok) continue;
     const double ms = timer.ElapsedMillis();
-    const auto& st = store->stats();
+    const MaintStats st = store->stats();
     std::printf("%-16s %14.2f %12llu %10u %10.1f\n",
                 store->name().c_str(), st.RelabelsPerInsert(),
                 (unsigned long long)st.rebalances, store->label_bits(),

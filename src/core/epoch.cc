@@ -3,22 +3,9 @@
 #include <thread>
 
 #include "common/macros.h"
-#include "common/string_util.h"
 
 namespace ltree {
 namespace epoch {
-
-std::string EpochStats::ToString() const {
-  return StrFormat(
-      "EpochStats{retired=%llu reclaimed=%llu pending=%llu advances=%llu "
-      "stalls=%llu pins=%llu}",
-      static_cast<unsigned long long>(retired),
-      static_cast<unsigned long long>(reclaimed),
-      static_cast<unsigned long long>(pending()),
-      static_cast<unsigned long long>(advances),
-      static_cast<unsigned long long>(stalls),
-      static_cast<unsigned long long>(pins));
-}
 
 EpochManager::EpochManager() : slots_(new ReaderSlot[kMaxReaders]) {}
 

@@ -32,7 +32,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 namespace ltree {
@@ -49,8 +48,6 @@ struct EpochStats {
 
   /// Nodes retired but not yet reclaimed (sitting in an epoch bucket).
   uint64_t pending() const { return retired - reclaimed; }
-
-  std::string ToString() const;
 };
 
 class EpochManager {

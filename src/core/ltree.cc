@@ -20,16 +20,14 @@ LTree::LTree(const Params& params, PowerTable powers)
 // Every node lives in arena_ chunks, which free wholesale — no tree walk.
 LTree::~LTree() = default;
 
-const LTreeStats& LTree::stats() const {
-  const NodeArenaStats& a = arena_.stats();
-  stats_.nodes_allocated = a.fresh_allocs - arena_base_.fresh_allocs;
-  stats_.nodes_reused = a.reused_allocs - arena_base_.reused_allocs;
-  stats_.nodes_released = a.releases - arena_base_.releases;
-  return stats_;
+MaintStats LTree::stats() const {
+  MaintStats out = stats_;
+  out.SetArenaTraffic(arena_.stats(), arena_base_);
+  return out;
 }
 
 void LTree::ResetStats() {
-  stats_ = LTreeStats();
+  stats_ = MaintStats();
   arena_base_ = arena_.stats();
 }
 
@@ -89,7 +87,6 @@ Status LTree::BulkLoad(std::span<const LeafCookie> cookies,
   live_leaves_ = n;
   // Initial label assignment is part of loading, not incremental maintenance.
   Relabel(root_, 0, 0, /*count_stats=*/false);
-  ++stats_.bulk_loads;
   if (handles != nullptr) {
     handles->reserve(handles->size() + leaves.size());
     handles->insert(handles->end(), leaves.begin(), leaves.end());
@@ -301,12 +298,8 @@ Status LTree::ApplyPlan(const BatchPlan& plan,
     RebuildRegion(plan);
   }
 
-  if (is_batch) {
-    ++stats_.batch_inserts;
-    stats_.batch_leaves += k;
-  } else {
-    ++stats_.inserts;
-  }
+  if (is_batch) ++stats_.batch_inserts;
+  stats_.inserts += k;
   if (handles != nullptr) {
     // Pre-size for the whole batch; the max() keeps growth geometric so
     // single-leaf insert streams stay amortized O(1) per append.
@@ -356,7 +349,7 @@ void LTree::RebuildRegion(const BatchPlan& plan) {
     for (Node* t = p; t != nullptr; t = t->parent) t->leaf_count -= purged;
   }
   LTREE_CHECK(siblings.size() <= static_cast<size_t>(params_.f) + 1);
-  ++stats_.splits;
+  ++stats_.rebalances;
   stats_.escalations += plan.levels_coalesced;
   if (plan.levels_coalesced > 0) ++stats_.coalesced_regions;
 
@@ -406,6 +399,7 @@ void LTree::RebuildRoot() {
     new_root->children[i]->index_in_parent = i;
   }
   root_ = new_root;
+  ++stats_.rebalances;
   ++stats_.root_splits;
   Relabel(root_, 0, 0, /*count_stats=*/true);
   ++stats_.relabel_passes;
@@ -465,7 +459,7 @@ void LTree::Relabel(Node* t, Label num, uint32_t from_child,
       if (t->num != kInvalidLabel) {
         // A tombstone's slot move is paid for (the paper's relabel cost)
         // but nobody outside the tree can observe it.
-        if (count_stats) ++stats_.leaves_relabeled;
+        if (count_stats) ++stats_.items_relabeled;
         if (listener_ != nullptr && !t->deleted) {
           listener_->OnRelabel(t->cookie, t->num, num);
         }
@@ -579,7 +573,7 @@ Status LTree::MarkDeleted(LeafHandle leaf) {
   }
   leaf->deleted = true;
   --live_leaves_;
-  ++stats_.deletes;
+  ++stats_.erases;
   return Status::OK();
 }
 

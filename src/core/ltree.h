@@ -31,7 +31,7 @@
 #include "common/status.h"
 #include "core/batch_plan.h"
 #include "core/epoch.h"
-#include "core/ltree_stats.h"
+#include "core/maint_stats.h"
 #include "core/node.h"
 #include "core/node_arena.h"
 #include "core/params.h"
@@ -150,10 +150,9 @@ class LTree {
   const Params& params() const { return params_; }
   const PowerTable& powers() const { return powers_; }
 
-  /// Operation counters since the last ResetStats(). The allocator-traffic
-  /// fields (nodes_allocated/reused/released) are refreshed from the arena
-  /// on every call, windowed the same way as the node-access counters.
-  const LTreeStats& stats() const;
+  /// Operation counters since the last ResetStats(), with the arena's
+  /// allocator traffic over the same window filled into the returned copy.
+  MaintStats stats() const;
 
   /// Restarts the stats window (node accesses and allocator traffic).
   void ResetStats();
@@ -269,8 +268,8 @@ class LTree {
   NodeArena arena_;  ///< owns every node; must outlive root_
   Node* root_ = nullptr;
   uint64_t live_leaves_ = 0;
-  mutable LTreeStats stats_;      // mutable: stats() refreshes arena fields
-  NodeArenaStats arena_base_;     ///< arena snapshot at last ResetStats()
+  MaintStats stats_;
+  NodeArenaStats arena_base_;  ///< arena snapshot at last ResetStats()
   RelabelListener* listener_ = nullptr;
   epoch::EpochManager* epoch_ = nullptr;  ///< not owned; may be nullptr
 

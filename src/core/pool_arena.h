@@ -37,7 +37,6 @@
 #include <cstdint>
 #include <memory>
 #include <new>
-#include <string>
 #include <vector>
 
 namespace ltree {
@@ -57,8 +56,6 @@ struct PoolArenaStats {
 
   /// Nodes currently handed out (allocated and not yet released).
   uint64_t live() const { return TotalAllocs() - releases; }
-
-  std::string ToString() const;
 };
 
 template <typename NodeT, typename Traits>

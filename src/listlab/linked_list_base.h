@@ -45,7 +45,7 @@ class LinkedListScheme : public LabelStore {
            items_.capacity() * sizeof(ListItem*);
   }
   std::vector<Label> Labels() const final;
-  const MaintStats& stats() const final { return stats_; }
+  MaintStats stats() const final { return stats_; }
   void ResetStats() final { stats_ = MaintStats(); }
 
   /// Deep validator shared by the three linked-list schemes: link symmetry

@@ -176,26 +176,6 @@ void LTreeStore::SnapshotImpl(
   }
 }
 
-const MaintStats& LTreeStore::stats() const {
-  const LTreeStats& ts = tree_->stats();
-  stats_.inserts = ts.inserts + ts.batch_leaves;
-  stats_.erases = ts.deletes;
-  stats_.batch_inserts = ts.batch_inserts;
-  stats_.items_relabeled = ts.leaves_relabeled;
-  stats_.rebalances = ts.splits + ts.root_splits;
-  stats_.relabel_passes = ts.relabel_passes;
-  stats_.coalesced_regions = ts.coalesced_regions;
-  stats_.nodes_allocated = ts.nodes_allocated;
-  stats_.nodes_reused = ts.nodes_reused;
-  stats_.nodes_released = ts.nodes_released;
-  return stats_;
-}
-
-void LTreeStore::ResetStats() {
-  tree_->ResetStats();
-  stats_ = MaintStats();
-}
-
 audit::Report LTreeStore::Validate() const {
   audit::Report report;
   audit::AuditLTree(*tree_, &report);
@@ -437,26 +417,6 @@ void VirtualLTreeStore::SnapshotImpl(
     LTREE_CHECK(handle.ok());
     out->emplace_back(label, slots_[*handle].cookie.load());
   }
-}
-
-const MaintStats& VirtualLTreeStore::stats() const {
-  const VirtualLTreeStats& ts = tree_->stats();
-  stats_.inserts = ts.inserts + ts.batch_leaves;
-  stats_.erases = ts.deletes;
-  stats_.batch_inserts = ts.batch_inserts;
-  stats_.items_relabeled = ts.labels_rewritten;
-  stats_.rebalances = ts.splits + ts.root_splits;
-  stats_.relabel_passes = ts.relabel_passes;
-  stats_.coalesced_regions = ts.coalesced_regions;
-  stats_.nodes_allocated = ts.nodes_allocated;
-  stats_.nodes_reused = ts.nodes_reused;
-  stats_.nodes_released = ts.nodes_released;
-  return stats_;
-}
-
-void VirtualLTreeStore::ResetStats() {
-  tree_->ResetStats();
-  stats_ = MaintStats();
 }
 
 audit::Report VirtualLTreeStore::Validate() const {

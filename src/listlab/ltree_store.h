@@ -52,8 +52,8 @@ class LTreeStore : public LabelStore, private RelabelListener {
     return tree_->ApproxHeapBytes() + slots_.ApproxHeapBytes();
   }
   std::vector<Label> Labels() const override { return tree_->LiveLabels(); }
-  const MaintStats& stats() const override;
-  void ResetStats() override;
+  MaintStats stats() const override { return tree_->stats(); }
+  void ResetStats() override { tree_->ResetStats(); }
 
   /// Deep validator: audits the wrapped L-Tree (audit::AuditLTree) with its
   /// epoch manager (arena conservation counts epoch-pending nodes; the
@@ -112,7 +112,6 @@ class LTreeStore : public LabelStore, private RelabelListener {
   /// Reclamation domain for leaves purged by tree_ (mutable: handed out
   /// from the const epoch_manager() accessor; Pin/Unpin are thread-safe).
   mutable epoch::EpochManager epoch_;
-  mutable MaintStats stats_;
 };
 
 /// Virtual L-Tree behind the LabelStore interface: no stable positions
@@ -141,8 +140,8 @@ class VirtualLTreeStore : public LabelStore, private RelabelListener {
     return tree_->ApproxMemoryBytes() + slots_.ApproxHeapBytes();
   }
   std::vector<Label> Labels() const override { return tree_->LiveLabels(); }
-  const MaintStats& stats() const override;
-  void ResetStats() override;
+  MaintStats stats() const override { return tree_->stats(); }
+  void ResetStats() override { tree_->ResetStats(); }
 
   /// Deep validator: audits the wrapped virtual tree (and its backing
   /// counted B+-tree, whose arena conservation and `epoch-reclamation`
@@ -207,7 +206,6 @@ class VirtualLTreeStore : public LabelStore, private RelabelListener {
   /// Reclamation domain for the backing B+-tree's freed nodes (mutable:
   /// handed out from the const epoch_manager() accessor).
   mutable epoch::EpochManager epoch_;
-  mutable MaintStats stats_;
 };
 
 }  // namespace listlab

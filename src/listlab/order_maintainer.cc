@@ -10,40 +10,9 @@
 #endif
 
 #include "common/macros.h"
-#include "common/string_util.h"
 
 namespace ltree {
 namespace listlab {
-
-const char* EraseSemanticsName(EraseSemantics semantics) {
-  switch (semantics) {
-    case EraseSemantics::kTombstone:
-      return "tombstone";
-    case EraseSemantics::kTombstonePurge:
-      return "tombstone+purge";
-    case EraseSemantics::kPhysical:
-      return "physical";
-  }
-  return "unknown";
-}
-
-std::string MaintStats::ToString() const {
-  return StrFormat(
-      "MaintStats{inserts=%llu erases=%llu batches=%llu relabeled=%llu "
-      "rebalances=%llu relabel_passes=%llu coalesced_regions=%llu "
-      "nodes_allocated=%llu nodes_reused=%llu "
-      "nodes_released=%llu relabels/insert=%.3f}",
-      static_cast<unsigned long long>(inserts),
-      static_cast<unsigned long long>(erases),
-      static_cast<unsigned long long>(batch_inserts),
-      static_cast<unsigned long long>(items_relabeled),
-      static_cast<unsigned long long>(rebalances),
-      static_cast<unsigned long long>(relabel_passes),
-      static_cast<unsigned long long>(coalesced_regions),
-      static_cast<unsigned long long>(nodes_allocated),
-      static_cast<unsigned long long>(nodes_reused),
-      static_cast<unsigned long long>(nodes_released), RelabelsPerInsert());
-}
 
 #ifdef LISTLAB_VALIDATE
 void LabelStore::AutoValidate(const char* op) const {

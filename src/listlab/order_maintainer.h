@@ -68,9 +68,10 @@
 //     writers for the guard's lifetime. Same API, documented fallback.
 //
 // ScanAll walks the structure, so it briefly takes the shared lock in both
-// modes. The plain query methods (GetLabel/GetCookie/Labels/...) keep the
-// historical thread-compatible contract: safe concurrently only while no
-// thread mutates. stats() and ResetStats() remain writer-side.
+// modes. The plain query methods (GetLabel/GetCookie/Labels/stats()/...)
+// keep the historical thread-compatible contract: const reads, safe
+// concurrently with each other while no thread mutates. ResetStats() is a
+// mutation and stays writer-side.
 
 #ifndef LTREE_LISTLAB_ORDER_MAINTAINER_H_
 #define LTREE_LISTLAB_ORDER_MAINTAINER_H_
@@ -87,6 +88,7 @@
 #include "common/result.h"
 #include "common/status.h"
 #include "core/epoch.h"
+#include "core/maint_stats.h"
 #include "core/params.h"
 #include "core/relabel_listener.h"
 #include "core/validate.h"
@@ -106,51 +108,6 @@ enum class EraseSemantics {
   kTombstone,       ///< slot stays occupied forever (L-Tree default)
   kTombstonePurge,  ///< tombstoned, dropped at the next covering rebuild
   kPhysical,        ///< unlinked immediately, label value reusable
-};
-
-const char* EraseSemanticsName(EraseSemantics semantics);
-
-/// Uniform cost accounting across schemes. "Relabels" is the paper's
-/// currency: the number of stored labels that changed.
-struct MaintStats {
-  uint64_t inserts = 0;  ///< items inserted (batch items count individually)
-  uint64_t erases = 0;
-  /// Batch insertions performed (one per InsertBatch*/PushBackBatch call
-  /// that went down a native batch path; fallback per-item loops count 0).
-  uint64_t batch_inserts = 0;
-  /// Existing items whose label changed (excludes the inserted item itself).
-  /// Tombstoned slots count too, since rewriting them is the paper's cost,
-  /// so with erases this can exceed the number of listener OnRelabel calls.
-  uint64_t items_relabeled = 0;
-  /// Rebalance/renumber events (splits for the L-Tree, window
-  /// redistributions for Bender, full renumberings for Gap/Sequential).
-  uint64_t rebalances = 0;
-
-  // ---- plan/apply pipeline (L-Tree schemes; zero elsewhere) ----
-  /// Label-rewrite passes run by the mutation path: the L-Tree variants
-  /// guarantee exactly one pass per insert/batch — the no-split sibling
-  /// relabel or the single pass over the coalesced rebuilt region.
-  uint64_t relabel_passes = 0;
-  /// Rebuilt regions that absorbed at least one fanout-overflow escalation
-  /// (batch insertions only; the planner folds the whole chain into one
-  /// region instead of rebuilding level by level).
-  uint64_t coalesced_regions = 0;
-
-  // ---- allocator traffic ----
-  // Filled by schemes with pooled node storage (the materialized L-Tree's
-  // NodeArena); zero for schemes without one. Windowed by ResetStats like
-  // every other counter.
-  uint64_t nodes_allocated = 0;  ///< fresh pool allocations (heap growth)
-  uint64_t nodes_reused = 0;     ///< allocations served by recycling
-  uint64_t nodes_released = 0;   ///< nodes returned for recycling
-
-  double RelabelsPerInsert() const {
-    return inserts == 0 ? 0.0
-                        : static_cast<double>(items_relabeled) /
-                              static_cast<double>(inserts);
-  }
-
-  std::string ToString() const;
 };
 
 /// The unified labeling interface. Mutations are serialized internally
@@ -297,7 +254,9 @@ class LabelStore {
   void set_listener(RelabelListener* listener) { listener_ = listener; }
   RelabelListener* listener() const { return listener_; }
 
-  virtual const MaintStats& stats() const = 0;
+  /// Cost counters since the last ResetStats() (see core/maint_stats.h),
+  /// returned by value: a const read that writes nothing.
+  virtual MaintStats stats() const = 0;
   virtual void ResetStats() = 0;
 
   /// Scheme-generic deep validator: audits the backing structure (L-Tree

@@ -210,15 +210,15 @@ Status DocumentStore::InsertBatchAfterRank(DocId doc, uint64_t rank,
   // prefix, which shows up in its MaintStats; snapshot the counters so the
   // stats-rollup conservation rule can account for items that never became
   // live.
-  const uint64_t pre_inserts = ctx.store->stats().inserts;
-  const uint64_t pre_erases = ctx.store->stats().erases;
+  const MaintStats pre = ctx.store->stats();
   const Status st =
       state->items.empty()
           ? ctx.store->PushBackBatch(fresh, &handles)
           : ctx.store->InsertBatchAfter(state->items[rank], fresh, &handles);
   if (!st.ok()) {
-    ledger_.rolled_back_inserts += ctx.store->stats().inserts - pre_inserts;
-    ledger_.rolled_back_erases += ctx.store->stats().erases - pre_erases;
+    const MaintStats post = ctx.store->stats();
+    ledger_.rolled_back_inserts += post.inserts - pre.inserts;
+    ledger_.rolled_back_erases += post.erases - pre.erases;
     return st;
   }
   LTREE_CHECK(handles.size() == count);
@@ -428,31 +428,13 @@ uint64_t DocumentStore::TrimToSlowestSubscriber(uint64_t max_retained) {
 
 // -------------------------------------------------------------------- stats
 
-namespace {
-
-void AccumulateMaintStats(const listlab::MaintStats& in,
-                          listlab::MaintStats* out) {
-  out->inserts += in.inserts;
-  out->erases += in.erases;
-  out->batch_inserts += in.batch_inserts;
-  out->items_relabeled += in.items_relabeled;
-  out->rebalances += in.rebalances;
-  out->relabel_passes += in.relabel_passes;
-  out->coalesced_regions += in.coalesced_regions;
-  out->nodes_allocated += in.nodes_allocated;
-  out->nodes_reused += in.nodes_reused;
-  out->nodes_released += in.nodes_released;
-}
-
-}  // namespace
-
 StoreStats DocumentStore::stats() const {
   StoreStats out;
   out.documents = docs_.size();
   out.per_shard_items.reserve(shards_.size());
   out.per_shard_heap_bytes.reserve(shards_.size());
   for (const auto& ctx : shards_) {
-    AccumulateMaintStats(ctx->store->stats(), &out.rollup);
+    out.rollup += ctx->store->stats();
     const uint64_t items = ctx->store->size();
     const uint64_t bytes = ctx->store->ApproxHeapBytes();
     out.live_items += items;
@@ -566,13 +548,11 @@ void DocumentStore::ValidateStoreLevel(audit::Report* out) const {
   // stats-rollup: scheme counters, the store ledger and the feed
   // publication counters are three independent bookkeepers of the same
   // event stream.
-  uint64_t scheme_inserts = 0;
-  uint64_t scheme_erases = 0;
+  MaintStats scheme;
   uint64_t published_inserts = 0;
   uint64_t published_erases = 0;
   for (const auto& ctx : shards_) {
-    scheme_inserts += ctx->store->stats().inserts;
-    scheme_erases += ctx->store->stats().erases;
+    scheme += ctx->store->stats();
     published_inserts += ctx->inserts_published;
     published_erases += ctx->erases_published;
   }
@@ -584,9 +564,9 @@ void DocumentStore::ValidateStoreLevel(audit::Report* out) const {
                      std::to_string(want));
     }
   };
-  check(scheme_inserts, ledger_.inserts + ledger_.rolled_back_inserts,
+  check(scheme.inserts, ledger_.inserts + ledger_.rolled_back_inserts,
         "scheme insert counters vs store ledger");
-  check(scheme_erases, ledger_.erases + ledger_.rolled_back_erases,
+  check(scheme.erases, ledger_.erases + ledger_.rolled_back_erases,
         "scheme erase counters vs store ledger");
   check(published_inserts, ledger_.inserts,
         "published insert events vs store ledger");

@@ -68,7 +68,7 @@ struct DocStoreOptions {
 /// plus per-shard breakdowns (the stats-rollup audit rule checks the
 /// rollup conserves against the store's own operation ledger).
 struct StoreStats {
-  listlab::MaintStats rollup;
+  MaintStats rollup;
   uint64_t documents = 0;
   uint64_t live_items = 0;
   uint64_t feed_events = 0;    ///< sum of per-shard last_seq

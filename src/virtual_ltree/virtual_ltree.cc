@@ -10,41 +10,14 @@
 
 namespace ltree {
 
-std::string VirtualLTreeStats::ToString() const {
-  return StrFormat(
-      "VirtualLTreeStats{inserts=%llu batch_leaves=%llu deletes=%llu "
-      "splits=%llu root_splits=%llu escalations=%llu relabel_passes=%llu "
-      "coalesced_regions=%llu range_counts=%llu "
-      "labels_rewritten=%llu purged=%llu nodes_allocated=%llu "
-      "nodes_reused=%llu nodes_released=%llu arena_chunks=%llu}",
-      static_cast<unsigned long long>(inserts),
-      static_cast<unsigned long long>(batch_leaves),
-      static_cast<unsigned long long>(deletes),
-      static_cast<unsigned long long>(splits),
-      static_cast<unsigned long long>(root_splits),
-      static_cast<unsigned long long>(escalations),
-      static_cast<unsigned long long>(relabel_passes),
-      static_cast<unsigned long long>(coalesced_regions),
-      static_cast<unsigned long long>(range_counts),
-      static_cast<unsigned long long>(labels_rewritten),
-      static_cast<unsigned long long>(tombstones_purged),
-      static_cast<unsigned long long>(nodes_allocated),
-      static_cast<unsigned long long>(nodes_reused),
-      static_cast<unsigned long long>(nodes_released),
-      static_cast<unsigned long long>(arena_chunks));
-}
-
-const VirtualLTreeStats& VirtualLTree::stats() const {
-  const PoolArenaStats& a = btree_.arena_stats();
-  stats_.nodes_allocated = a.fresh_allocs - arena_base_.fresh_allocs;
-  stats_.nodes_reused = a.reused_allocs - arena_base_.reused_allocs;
-  stats_.nodes_released = a.releases - arena_base_.releases;
-  stats_.arena_chunks = a.chunks - arena_base_.chunks;
-  return stats_;
+MaintStats VirtualLTree::stats() const {
+  MaintStats out = stats_;
+  out.SetArenaTraffic(btree_.arena_stats(), arena_base_);
+  return out;
 }
 
 void VirtualLTree::ResetStats() {
-  stats_ = VirtualLTreeStats();
+  stats_ = MaintStats();
   arena_base_ = btree_.arena_stats();
 }
 
@@ -264,7 +237,7 @@ Status VirtualLTree::RebuildWithPending(uint32_t vh, Label anchor,
       if (old.key == kInvalidLabel) {
         if (fresh_labels != nullptr) fresh_labels->push_back(assigned[i]);
       } else if (old.key != assigned[i]) {
-        ++stats_.labels_rewritten;
+        ++stats_.items_relabeled;
         if (listener_ != nullptr && !UnpackDeleted(old.value)) {
           listener_->OnRelabel(UnpackCookie(old.value), old.key,
                                assigned[i]);
@@ -276,6 +249,7 @@ Status VirtualLTree::RebuildWithPending(uint32_t vh, Label anchor,
     LTREE_RETURN_IF_ERROR(btree_.ReplaceRange(
         0, std::numeric_limits<Label>::max(), rebuilt));
     height_ = new_height;
+    ++stats_.rebalances;
     ++stats_.root_splits;
     ++stats_.relabel_passes;
     return Status::OK();
@@ -324,7 +298,7 @@ Status VirtualLTree::RebuildWithPending(uint32_t vh, Label anchor,
     if (old.key == kInvalidLabel) {
       if (fresh_labels != nullptr) fresh_labels->push_back(assigned[i]);
     } else if (old.key != assigned[i]) {
-      ++stats_.labels_rewritten;
+      ++stats_.items_relabeled;
       if (listener_ != nullptr && !UnpackDeleted(old.value)) {
         listener_->OnRelabel(UnpackCookie(old.value), old.key, assigned[i]);
       }
@@ -337,7 +311,7 @@ Status VirtualLTree::RebuildWithPending(uint32_t vh, Label anchor,
   for (const auto& sib : sibs) {
     rebuilt.push_back({sib.key + shift, sib.value});
     if (shift != 0) {
-      ++stats_.labels_rewritten;
+      ++stats_.items_relabeled;
       if (listener_ != nullptr && !UnpackDeleted(sib.value)) {
         listener_->OnRelabel(UnpackCookie(sib.value), sib.key,
                              sib.key + shift);
@@ -346,7 +320,7 @@ Status VirtualLTree::RebuildWithPending(uint32_t vh, Label anchor,
   }
   LTREE_RETURN_IF_ERROR(
       btree_.ReplaceRange(v_base, q_base + q_interval, rebuilt));
-  ++stats_.splits;
+  ++stats_.rebalances;
   ++stats_.relabel_passes;
   return Status::OK();
 }
@@ -392,7 +366,7 @@ Status VirtualLTree::InsertCore(Label parent_base, uint64_t j,
       const Label shifted = old.key + k;
       LTREE_CHECK(shifted < slot_end);
       rebuilt.push_back({shifted, old.value});
-      ++stats_.labels_rewritten;
+      ++stats_.items_relabeled;
       if (listener_ != nullptr && !UnpackDeleted(old.value)) {
         listener_->OnRelabel(UnpackCookie(old.value), old.key, shifted);
       }
@@ -411,12 +385,8 @@ Status VirtualLTree::InsertCore(Label parent_base, uint64_t j,
   }
 
   live_leaves_ += k;
-  if (is_batch) {
-    ++stats_.batch_inserts;
-    stats_.batch_leaves += k;
-  } else {
-    ++stats_.inserts;
-  }
+  if (is_batch) ++stats_.batch_inserts;
+  stats_.inserts += k;
   if (labels != nullptr) {
     labels->insert(labels->end(), fresh.begin(), fresh.end());
   }
@@ -507,7 +477,7 @@ Status VirtualLTree::MarkDeleted(Label label) {
   LTREE_RETURN_IF_ERROR(
       btree_.Update(label, PackValue(UnpackCookie(value), true)));
   --live_leaves_;
-  ++stats_.deletes;
+  ++stats_.erases;
   return Status::OK();
 }
 

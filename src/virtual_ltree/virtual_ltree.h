@@ -36,38 +36,6 @@
 
 namespace ltree {
 
-/// Counters for the virtual variant. The cost unit here is B-tree
-/// operations, reflecting the Section 4.2 trade-off discussion.
-struct VirtualLTreeStats {
-  uint64_t inserts = 0;
-  uint64_t batch_inserts = 0;
-  uint64_t batch_leaves = 0;
-  uint64_t deletes = 0;
-  uint64_t splits = 0;       ///< one per coalesced rebuilt region
-  uint64_t root_splits = 0;
-  uint64_t escalations = 0;  ///< fanout-overflow levels folded by the plan
-  uint64_t tombstones_purged = 0;
-  /// Mirror of LTreeStats' plan/apply counters (see core/ltree_stats.h):
-  /// exactly one label-rewrite pass per operation, and the number of
-  /// regions that absorbed at least one escalation level.
-  uint64_t relabel_passes = 0;
-  uint64_t coalesced_regions = 0;
-  /// Range-count probes issued by the maintenance walk (violator walk plus
-  /// the planner's escalation probes).
-  uint64_t range_counts = 0;
-  /// Labels written back by relabeling (excluding fresh leaves).
-  uint64_t labels_rewritten = 0;
-  /// Allocator traffic of the counted B+-tree's node pool, windowed by
-  /// ResetStats() like everything else (the virtual scheme's analogue of
-  /// LTreeStats' arena counters).
-  uint64_t nodes_allocated = 0;  ///< fresh pool allocations (heap growth)
-  uint64_t nodes_reused = 0;     ///< allocations served by recycling
-  uint64_t nodes_released = 0;   ///< nodes returned for recycling
-  uint64_t arena_chunks = 0;     ///< system allocations (256-node chunks)
-
-  std::string ToString() const;
-};
-
 class VirtualLTree {
  public:
   static Result<std::unique_ptr<VirtualLTree>> Create(const Params& params);
@@ -136,11 +104,11 @@ class VirtualLTree {
 
   const Params& params() const { return params_; }
 
-  /// Operation counters since the last ResetStats(). The allocator-traffic
-  /// fields (nodes_allocated/reused/released/arena_chunks) are refreshed
-  /// from the B+-tree's node pool on every call, windowed the same way as
-  /// the B-tree-operation counters.
-  const VirtualLTreeStats& stats() const;
+  /// Operation counters since the last ResetStats(), with the B+-tree node
+  /// pool's allocator traffic over the same window filled into the returned
+  /// copy. The Section 4.2 cost unit, B-tree operations, is `range_counts`;
+  /// the materialized tree's node-access counters stay zero.
+  MaintStats stats() const;
 
   /// Restarts the stats window (B-tree operations and allocator traffic).
   void ResetStats();
@@ -219,8 +187,8 @@ class VirtualLTree {
   obtree::CountedBTree btree_;
   uint32_t height_ = 1;
   uint64_t live_leaves_ = 0;
-  mutable VirtualLTreeStats stats_;  ///< alloc fields refreshed by stats()
-  PoolArenaStats arena_base_;        ///< pool snapshot at last ResetStats()
+  MaintStats stats_;
+  PoolArenaStats arena_base_;  ///< pool snapshot at last ResetStats()
   RelabelListener* listener_ = nullptr;
 };
 

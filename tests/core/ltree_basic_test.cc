@@ -102,7 +102,7 @@ TEST(LTreeInsertTest, PaperFigure2cInsertWithoutSplit) {
   auto inserted = tree->InsertBefore(handles[2], 100);
   ASSERT_TRUE(inserted.ok());
   EXPECT_EQ(tree->stats().inserts, 1u);
-  EXPECT_EQ(tree->stats().splits, 0u);
+  EXPECT_EQ(tree->stats().rebalances, 0u);
   EXPECT_EQ(tree->stats().root_splits, 0u);
   EXPECT_TRUE(tree->CheckInvariants().ok());
   EXPECT_EQ(tree->num_slots(), 9u);
@@ -122,7 +122,7 @@ TEST(LTreeInsertTest, PaperFigure2dSecondInsertSplits) {
   ASSERT_TRUE(first.ok());
   auto second = tree->InsertAfter(*first, 101);
   ASSERT_TRUE(second.ok());
-  EXPECT_EQ(tree->stats().splits, 1u);
+  EXPECT_EQ(tree->stats().rebalances, 1u);
   EXPECT_EQ(tree->stats().root_splits, 0u);
   EXPECT_TRUE(tree->CheckInvariants().ok());
   // Order: handles[1] < first < second < handles[2].
@@ -197,8 +197,8 @@ TEST(LTreeDeleteTest, TombstoneDoesNotRelabel) {
   EXPECT_EQ(tree->num_slots(), 8u);
   EXPECT_EQ(tree->num_live_leaves(), 7u);
   EXPECT_TRUE(tree->deleted(handles[3]));
-  EXPECT_EQ(tree->stats().deletes, 1u);
-  EXPECT_EQ(tree->stats().leaves_relabeled, 0u);
+  EXPECT_EQ(tree->stats().erases, 1u);
+  EXPECT_EQ(tree->stats().items_relabeled, 0u);
   // Live iteration skips the tombstone.
   std::vector<LeafCookie> live;
   for (auto leaf = tree->FirstLiveLeaf(); leaf != nullptr;
@@ -252,12 +252,12 @@ TEST(LTreeListenerTest, FiredOnlyForChangedExistingLeaves) {
   }
 }
 
-TEST(LTreeStatsTest, AmortizedCostAccounting) {
+TEST(LTreeMaintStatsTest, AmortizedCostAccounting) {
   auto tree = LTree::Create(Params{.f = 4, .s = 2}).ValueOrDie();
   ASSERT_TRUE(tree->BulkLoad(MakeCookies(8)).ok());
   EXPECT_EQ(tree->stats().NodeAccesses(), 0u) << "bulk load not counted";
   ASSERT_TRUE(tree->PushBack(50).ok());
-  const auto& st = tree->stats();
+  const MaintStats st = tree->stats();
   EXPECT_EQ(st.inserts, 1u);
   EXPECT_GT(st.ancestor_updates, 0u);
   EXPECT_GT(st.nodes_relabeled, 0u);

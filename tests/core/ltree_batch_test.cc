@@ -99,9 +99,9 @@ TEST(LTreeBatchTest, PlanMatchesApplyOutcome) {
   tree->ResetStats();
   ASSERT_TRUE(tree->InsertBatchAfter(handles[5], MakeCookies(40, 500)).ok());
   ASSERT_TRUE(tree->CheckInvariants().ok());
-  const LTreeStats& st = tree->stats();
+  const MaintStats st = tree->stats();
   if (plan.needs_rebuild && !plan.rebuild_root) {
-    EXPECT_EQ(st.splits, 1u);
+    EXPECT_EQ(st.rebalances - st.root_splits, 1u);
     EXPECT_EQ(st.escalations, plan.levels_coalesced);
   }
   EXPECT_EQ(st.relabel_passes, 1u);

@@ -94,22 +94,20 @@ TEST_P(LTreePropertyTest, SingleInsertNeverCascades) {
   ASSERT_TRUE(tree->BulkLoad(cookies, &handles).ok());
 
   Rng rng(pc.f + pc.s + 1);
-  uint64_t prev_splits = 0;
-  uint64_t prev_roots = 0;
+  uint64_t prev_rebalances = 0;
   for (int op = 0; op < 800; ++op) {
     const size_t r = static_cast<size_t>(rng.Uniform(handles.size()));
     auto h = tree->InsertAfter(handles[r], 5000 + op);
     ASSERT_TRUE(h.ok());
     handles.push_back(*h);
-    const auto& st = tree->stats();
+    const MaintStats st = tree->stats();
     // Proposition 3: at most one structural event per single insert, and
     // no fanout escalation ever.
     const uint64_t events =
-        (st.splits - prev_splits) + (st.root_splits - prev_roots);
+        st.rebalances - prev_rebalances;
     ASSERT_LE(events, 1u) << "op " << op;
     ASSERT_EQ(st.escalations, 0u) << "op " << op;
-    prev_splits = st.splits;
-    prev_roots = st.root_splits;
+    prev_rebalances = st.rebalances;
   }
 }
 

@@ -8,15 +8,13 @@
 // structure at once, and ThreadSanitizer flags any const path that
 // secretly writes shared state. They are deliberately cheap enough to run
 // in every preset, not just the TSan one.
-//
-// NOTE: stats() is excluded on purpose — it refreshes mutable counters and
-// is documented as requiring external synchronization, like any mutation.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <numeric>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -162,8 +160,7 @@ TEST(TsanSmokeTest, ConcurrentStoreReadsAcrossSchemes) {
 TEST(TsanSmokeTest, ConcurrentDocumentStoreReadsAcrossShards) {
   // Freeze a populated sharded store, then read it from every side at
   // once: per-document label walks, per-shard live-state snapshots, feed
-  // suffixes and state vectors. stats() and Validate() are excluded like
-  // LabelStore::stats() — both refresh mutable scheme counters.
+  // suffixes and state vectors (stats() has its own case below).
   auto store = store::DocumentStore::Make({.num_shards = 4,
                                            .scheme_spec = "ltree:16:4",
                                            .feed_capacity = 1 << 20})
@@ -211,6 +208,70 @@ TEST(TsanSmokeTest, ConcurrentDocumentStoreReadsAcrossShards) {
     }
   });
   EXPECT_EQ(mismatches.load(), 0u);
+}
+
+/// Calls `read` (returning MaintStats) on kThreads threads at once and
+/// expects every thread to see the same counters.
+template <typename Read>
+void ExpectConcurrentStatsAgree(Read read, const std::string& what) {
+  std::vector<MaintStats> seen(kThreads);
+  RunConcurrently([&](int t) {
+    for (int i = 0; i < 20; ++i) seen[t] = read();
+  });
+  EXPECT_GT(seen[0].inserts, 0u) << what;
+  for (int t = 1; t < kThreads; ++t) {
+    EXPECT_TRUE(seen[t] == seen[0]) << what << " thread " << t;
+  }
+}
+
+TEST(TsanSmokeTest, ConcurrentStatsReads) {
+  // stats() is a const read like any other: it returns a copy with the
+  // arena traffic filled in and writes nothing, so concurrent calls on a
+  // frozen structure neither race nor disagree.
+  auto tree = LTree::Create(Params{.f = 16, .s = 4}).ValueOrDie();
+  std::vector<LTree::LeafHandle> leaves;
+  ASSERT_TRUE(tree->BulkLoad(MakeCookies(kLeaves), &leaves).ok());
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_TRUE(tree->InsertAfter(leaves[i * 7], 100000 + i).ok());
+  }
+  ExpectConcurrentStatsAgree([&] { return tree->stats(); }, "LTree");
+
+  auto vtree = VirtualLTree::Create(Params{.f = 16, .s = 4}).ValueOrDie();
+  std::vector<Label> labels;
+  ASSERT_TRUE(vtree->BulkLoad(MakeCookies(kLeaves), &labels).ok());
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_TRUE(vtree->PushBack(100000 + i).ok());
+  }
+  ExpectConcurrentStatsAgree([&] { return vtree->stats(); }, "VirtualLTree");
+
+  for (const char* spec :
+       {"sequential", "gap:64", "bender", "bender:0.75", "ltree:16:4",
+        "ltree:16:4:purge", "virtual:16:4", "virtual:16:4:purge"}) {
+    auto store = listlab::MakeLabelStore(spec).ValueOrDie();
+    std::vector<listlab::ItemHandle> handles;
+    ASSERT_TRUE(store->BulkLoad(MakeCookies(1000), &handles).ok()) << spec;
+    for (int i = 0; i < 100; ++i) {
+      ASSERT_TRUE(store->InsertAfter(handles[i * 9], 5000 + i).ok()) << spec;
+    }
+    ASSERT_TRUE(store->Erase(handles[1]).ok()) << spec;
+    ExpectConcurrentStatsAgree([&] { return store->stats(); }, spec);
+  }
+
+  auto docs = store::DocumentStore::Make({.num_shards = 4,
+                                          .scheme_spec = "ltree:16:4",
+                                          .feed_capacity = 1 << 20})
+                  .ValueOrDie();
+  for (store::DocId doc = 0; doc < 12; ++doc) {
+    ASSERT_TRUE(docs->CreateDocument(doc).ok());
+    ASSERT_TRUE(docs->InsertBatchAfterRank(doc, 0, 200).ok());
+  }
+  ExpectConcurrentStatsAgree(
+      [&] {
+        // The store-level audit reads the same scheme counters.
+        EXPECT_TRUE(docs->Validate().ok());
+        return docs->stats().rollup;
+      },
+      "DocumentStore");
 }
 
 }  // namespace

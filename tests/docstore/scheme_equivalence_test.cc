@@ -139,8 +139,8 @@ TEST(SchemeStatsFidelityTest, MaterializedAndVirtualAgreeOnCostStats) {
   run_script(*virt);
 
   EXPECT_EQ(mat->label_store().Labels(), virt->label_store().Labels());
-  const listlab::MaintStats& ms = mat->label_store().stats();
-  const listlab::MaintStats& vs = virt->label_store().stats();
+  const MaintStats ms = mat->label_store().stats();
+  const MaintStats vs = virt->label_store().stats();
   EXPECT_EQ(ms.inserts, vs.inserts);
   EXPECT_EQ(ms.batch_inserts, vs.batch_inserts);
   EXPECT_EQ(ms.items_relabeled, vs.items_relabeled);

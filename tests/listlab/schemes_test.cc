@@ -464,7 +464,7 @@ TEST_P(GoldenSweepTest, UniformStreamStatsMatchSeed) {
     handles.push_back(*h);
   }
   ASSERT_TRUE(store->CheckInvariants().ok());
-  const MaintStats& st = store->stats();
+  const MaintStats st = store->stats();
   EXPECT_EQ(st.items_relabeled, want.items_relabeled) << store->name();
   EXPECT_EQ(st.rebalances, want.rebalances) << store->name();
   EXPECT_EQ(store->label_bits(), want.label_bits) << store->name();

@@ -99,7 +99,7 @@ TEST_P(EquivalenceTest, RandomSingleInsertsAndDeletes) {
     }
   }
   // Structural event counts agree for single-insert streams.
-  EXPECT_EQ(mt->stats().splits, vt->stats().splits);
+  EXPECT_EQ(mt->stats().rebalances, vt->stats().rebalances);
   EXPECT_EQ(mt->stats().root_splits, vt->stats().root_splits);
 }
 
@@ -140,7 +140,7 @@ TEST_P(EquivalenceTest, BatchInsertStreams) {
   // The plan/apply pipeline makes the same coalescing decisions on both
   // representations, so the full structural accounting stays in lockstep
   // even through batch escalations.
-  EXPECT_EQ(mt->stats().splits, vt->stats().splits);
+  EXPECT_EQ(mt->stats().rebalances, vt->stats().rebalances);
   EXPECT_EQ(mt->stats().root_splits, vt->stats().root_splits);
   EXPECT_EQ(mt->stats().escalations, vt->stats().escalations);
   EXPECT_EQ(mt->stats().relabel_passes, vt->stats().relabel_passes);
@@ -159,7 +159,7 @@ TEST_P(EquivalenceTest, AppendOnlyStream) {
     ASSERT_TRUE(vt->PushBack(static_cast<LeafCookie>(i)).ok());
     ASSERT_EQ(mt->AllLabels(), vt->AllLabels()) << "i=" << i;
   }
-  EXPECT_EQ(mt->stats().splits, vt->stats().splits);
+  EXPECT_EQ(mt->stats().rebalances, vt->stats().rebalances);
   EXPECT_EQ(mt->stats().root_splits, vt->stats().root_splits);
 }
 
