@@ -60,7 +60,7 @@ Row RunScheme(const std::string& spec, workload::StreamKind kind,
     }
   }
   const double ms = timer.ElapsedMillis();
-  LTREE_CHECK_OK(store->CheckInvariants());
+  LTREE_CHECK_OK(store->Validate().ToStatus());
   return Row{workload::StreamKindName(kind),
              spec,
              store->name(),

@@ -80,7 +80,7 @@ BatchRunResult RunBatched(const Params& params, uint64_t initial,
   BatchRunResult out;
   out.wall_ms = timer.ElapsedMillis();
   out.op_latency = latency.Summarize();
-  LTREE_CHECK_OK(tree->CheckInvariants());
+  LTREE_CHECK_OK(tree->Validate().ToStatus());
   const MaintStats st = tree->stats();
   out.cost_per_leaf = st.AmortizedCostPerInsert();
   out.splits = st.rebalances;

@@ -133,7 +133,7 @@ RowResult RunRow(const std::string& spec, uint64_t initial, int readers,
   out.writer_ops_per_sec =
       static_cast<double>(writer_ops.load()) / elapsed;
   out.read_latency = merged.Summarize();
-  LTREE_CHECK_OK(store->CheckInvariants());
+  LTREE_CHECK_OK(store->Validate().ToStatus());
   return out;
 }
 

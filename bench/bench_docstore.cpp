@@ -126,7 +126,7 @@ CellResult RunCell(uint32_t shards, double theta, uint64_t ops) {
   out.imbalance =
       mean > 0.0 ? static_cast<double>(out.max_shard_items) / mean : 0.0;
   out.heap_mb = static_cast<double>(stats.heap_bytes) / 1e6;
-  LTREE_CHECK_OK(store->CheckInvariants());
+  LTREE_CHECK_OK(store->Validate().ToStatus());
   return out;
 }
 

@@ -95,7 +95,7 @@ void Figure2() {
                                   tree->stats().root_splits));
   PrintLeafLine(*tree);
   std::printf("\nfinal structure:\n%s", tree->DebugString().c_str());
-  LTREE_CHECK_OK(tree->CheckInvariants());
+  LTREE_CHECK_OK(tree->Validate().ToStatus());
 }
 
 }  // namespace

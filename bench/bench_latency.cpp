@@ -75,7 +75,7 @@ Row RunSpec(const SpecPoint& point, uint64_t initial, uint64_t ops) {
     handles.insert(handles.begin() + static_cast<long>(at), *h);
   }
   const double ms = wall.ElapsedMillis();
-  LTREE_CHECK_OK(store->CheckInvariants());
+  LTREE_CHECK_OK(store->Validate().ToStatus());
 
   Row row;
   row.point = point;

@@ -104,7 +104,7 @@ InsertRunResult RunInsertWorkload(
   out.label_bits = tree->label_bits();
   out.height = tree->height();
   out.max_label = tree->max_label();
-  LTREE_CHECK_OK(tree->CheckInvariants());
+  LTREE_CHECK_OK(tree->Validate().ToStatus());
   return out;
 }
 

@@ -650,4 +650,37 @@ std::vector<Label> LTree::AllLabels() const {
   return out;
 }
 
+namespace {
+
+void DumpNode(const Node* node, int depth, bool show_internal,
+              std::ostringstream* os) {
+  if (node->IsLeaf()) {
+    for (int i = 0; i < depth; ++i) *os << "  ";
+    *os << "leaf num=" << node->num << " cookie=" << node->cookie;
+    if (node->deleted) *os << " [deleted]";
+    *os << "\n";
+    return;
+  }
+  if (show_internal) {
+    for (int i = 0; i < depth; ++i) *os << "  ";
+    *os << "node h=" << node->height << " num=" << node->num
+        << " l=" << node->leaf_count << " c=" << node->children.size()
+        << "\n";
+  }
+  for (const Node* child : node->children) {
+    DumpNode(child, depth + 1, show_internal, os);
+  }
+}
+
+}  // namespace
+
+std::string LTree::DebugString(bool show_internal) const {
+  std::ostringstream os;
+  os << params_.ToString() << " height=" << root_->height
+     << " slots=" << root_->leaf_count << " live=" << live_leaves_
+     << " label_space=" << label_space() << "\n";
+  if (root_->leaf_count > 0) DumpNode(root_, 0, show_internal, &os);
+  return os.str();
+}
+
 }  // namespace ltree

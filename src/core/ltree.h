@@ -36,6 +36,7 @@
 #include "core/node_arena.h"
 #include "core/params.h"
 #include "core/relabel_listener.h"
+#include "core/validate.h"
 
 namespace ltree {
 
@@ -189,15 +190,14 @@ class LTree {
   /// Root node, exposed for the invariant checker / tests / debug dumper.
   const Node* root() const { return root_; }
 
-  /// Verifies the structural invariants of Proposition 2 plus label
-  /// consistency:
-  ///  * all leaves at the same depth; height bookkeeping consistent;
-  ///  * leaf_count(t) equals the actual number of leaf slots and is strictly
-  ///    below the budget lmax(t) = s*(f/s)^{h(t)};
-  ///  * fanout within [1, f+1];
-  ///  * num(w) = num(parent) + index(w) * (f+1)^{h(w)} for every node, hence
-  ///    labels strictly increase in document order (Proposition 1).
-  Status CheckInvariants() const;
+  /// Deep validator (core/validate.cc): Proposition 2 structure (uniform
+  /// leaf depth, fanout <= f+1, leaf budgets l(t) < lmax(t)), parent/child
+  /// link symmetry, the label identity
+  /// num(w) = num(parent) + index(w) * (f+1)^{h(w)} (hence Proposition 1
+  /// strict label monotonicity across leaves), tombstone accounting against
+  /// num_live_leaves(), and arena conservation (live() == reachable nodes).
+  /// Reports every violation with an "ltree:"-prefixed node path.
+  audit::Report Validate() const;
 
   /// Multi-line structural dump (for examples and debugging).
   std::string DebugString(bool show_internal = true) const;

@@ -11,14 +11,16 @@
 // Kernels (all return exactly std::lower_bound / std::upper_bound indices;
 // the array MUST be sorted ascending — the linear forms count comparisons,
 // which only equals the bound index on sorted input):
-//  * kScalar     — std::lower_bound reference (differential baseline).
-//  * kBranchless — branch-free linear sum; the portable fallback.
+//  * kScalar     — std::lower_bound reference (differential baseline only;
+//    dispatch never selects it).
+//  * kBranchless — branch-free linear sum; the portable fallback cpuid
+//    dispatch selects on hosts without AVX2.
 //  * kAvx2       — 4 labels/vector via _mm256_cmpgt_epi64 + sign flip.
 //
 // Dispatch is resolved once, on first use, from cpuid
 // (__builtin_cpu_supports) — overridable by the LTREE_SEARCH_KERNEL env
 // var (scalar|branchless|avx2) or SetKernelForTest(), which CI uses to
-// exercise the scalar fallback on AVX2 hosts. The resolved function
+// exercise the branchless fallback on AVX2 hosts. The resolved function
 // pointers live in relaxed atomics: initialization is idempotent, so a racy
 // first call from two readers is benign (and TSan-clean).
 

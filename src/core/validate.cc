@@ -1,12 +1,11 @@
-// audit::Report plumbing and the deep L-Tree validator.
-//
-// The L-Tree checks migrated here from the first-failure
-// LTree::CheckInvariants (core/invariants.cc keeps only the DebugString
-// dumper and the thin Status wrapper): same rules, but every violation is
-// reported with a structural path instead of stopping at the first.
+// audit::Report plumbing and the deep L-Tree validator (LTree::Validate):
+// every violation is reported with a structural path instead of stopping at
+// the first.
 
 #include "core/validate.h"
 
+#include <cstdlib>
+#include <iostream>
 #include <sstream>
 #include <unordered_set>
 
@@ -68,11 +67,24 @@ Status Report::ToStatus() const {
   return Status::Corruption(std::move(msg));
 }
 
+void AbortIfViolated(const Report& report, std::string_view what,
+                     std::string_view op) {
+  if (report.ok()) return;
+  std::cerr << "LISTLAB_VALIDATE: " << what << " corrupted after " << op
+            << ":\n"
+            << report.ToString() << "\n";
+  std::abort();
+}
+
+}  // namespace audit
+
 // --------------------------------------------------------------------------
 // Materialized L-Tree deep validator
 // --------------------------------------------------------------------------
 
 namespace {
+
+using audit::Report;
 
 struct LTreeAuditContext {
   const Params* params;
@@ -140,7 +152,7 @@ void AuditNode(const Node* node, const Node* expected_parent,
     return;
   }
   // Fanout: at most f+1 children fit the (f+1)-ary label space (f steady
-  // state, f+1 transiently; see DESIGN notes in core/invariants.cc).
+  // state, f+1 transiently).
   if (node->children.size() > static_cast<size_t>(ctx->params->f) + 1) {
     ctx->report->Add(path, "fanout",
                      StrFormat("fanout %zu exceeds f+1=%u at height %u",
@@ -200,48 +212,47 @@ void CollectReachable(const Node* node,
 
 }  // namespace
 
-void AuditLTree(const LTree& tree, Report* report) {
-  const Node* root = tree.root();
+audit::Report LTree::Validate() const {
+  Report report;
+  const Node* root = root_;
   if (root == nullptr) {
-    report->Add("ltree:/", "root-null", "null root");
-    return;
+    report.Add("ltree:/", "root-null", "null root");
+    return report;
   }
   if (root->IsLeaf()) {
-    report->Add("ltree:/", "root-internal", "root must be internal");
-    return;
+    report.Add("ltree:/", "root-internal", "root must be internal");
+    return report;
   }
   LTreeAuditContext ctx;
-  ctx.params = &tree.params();
-  ctx.powers = &tree.powers();
-  ctx.report = report;
+  ctx.params = &params_;
+  ctx.powers = &powers_;
+  ctx.report = &report;
   if (root->leaf_count == 0) {
     if (!root->children.empty()) {
-      report->Add("ltree:/", "leaf-count-sum",
-                  "empty tree (leaf_count 0) with children");
+      report.Add("ltree:/", "leaf-count-sum",
+                 "empty tree (leaf_count 0) with children");
     }
-    if (tree.num_live_leaves() != 0) {
-      report->Add("ltree:/", "live-count",
-                  StrFormat("empty tree but num_live_leaves() is %llu",
-                            static_cast<unsigned long long>(
-                                tree.num_live_leaves())));
+    if (live_leaves_ != 0) {
+      report.Add("ltree:/", "live-count",
+                 StrFormat("empty tree but num_live_leaves() is %llu",
+                           static_cast<unsigned long long>(live_leaves_)));
     }
-    return;
+    return report;
   }
   AuditNode(root, nullptr, 0, 0, "ltree:/", &ctx);
   if (ctx.leaf_slots != root->leaf_count) {
-    report->Add("ltree:/", "leaf-count-sum",
-                StrFormat("root leaf_count %llu != actual leaf slots %llu",
-                          static_cast<unsigned long long>(root->leaf_count),
-                          static_cast<unsigned long long>(ctx.leaf_slots)));
+    report.Add("ltree:/", "leaf-count-sum",
+               StrFormat("root leaf_count %llu != actual leaf slots %llu",
+                         static_cast<unsigned long long>(root->leaf_count),
+                         static_cast<unsigned long long>(ctx.leaf_slots)));
   }
   // Tombstone accounting: the live counter must equal leaf slots minus
   // tombstones, which the walk counts directly.
-  if (ctx.live != tree.num_live_leaves()) {
-    report->Add("ltree:/", "live-count",
-                StrFormat("num_live_leaves() %llu != actual live leaves %llu",
-                          static_cast<unsigned long long>(
-                              tree.num_live_leaves()),
-                          static_cast<unsigned long long>(ctx.live)));
+  if (ctx.live != live_leaves_) {
+    report.Add("ltree:/", "live-count",
+               StrFormat("num_live_leaves() %llu != actual live leaves %llu",
+                         static_cast<unsigned long long>(live_leaves_),
+                         static_cast<unsigned long long>(ctx.live)));
   }
   // Label resolution: the arithmetic num(w) descent must resolve every
   // leaf's label (tombstoned or not) back to exactly that leaf — this is
@@ -251,54 +262,51 @@ void AuditLTree(const LTree& tree, Report* report) {
   // flagged (miswired child index, self-parent) it can cycle or index
   // out of bounds — and an auditor must stay total. The slot-count cap
   // is belt-and-braces for corruption no structural rule anticipated.
-  if (report->ok()) {
+  if (report.ok()) {
     uint64_t resolved_walk = 0;
-    for (LTree::LeafHandle leaf = tree.FirstLeaf();
-         leaf != nullptr && resolved_walk < tree.num_slots();
-         leaf = tree.NextLeaf(leaf), ++resolved_walk) {
-      if (tree.FindLeafByLabel(tree.label(leaf)) != leaf) {
-        report->Add("ltree:/", "label-resolution",
-                    StrFormat("label %llu does not resolve back to its leaf",
-                              static_cast<unsigned long long>(
-                                  tree.label(leaf))));
+    for (LeafHandle leaf = FirstLeaf();
+         leaf != nullptr && resolved_walk < num_slots();
+         leaf = NextLeaf(leaf), ++resolved_walk) {
+      if (FindLeafByLabel(label(leaf)) != leaf) {
+        report.Add("ltree:/", "label-resolution",
+                   StrFormat("label %llu does not resolve back to its leaf",
+                             static_cast<unsigned long long>(label(leaf))));
       }
     }
   }
   // Arena conservation: every node the pool considers live must be
   // reachable from the root or sitting in an epoch bucket awaiting
   // reclamation, and vice versa.
-  const epoch::EpochManager* epoch = tree.epoch();
-  const uint64_t pending = epoch != nullptr ? epoch->pending() : 0;
-  if (ctx.reachable_nodes + pending != tree.arena_stats().live()) {
-    report->Add(
+  const uint64_t pending = epoch_ != nullptr ? epoch_->pending() : 0;
+  if (ctx.reachable_nodes + pending != arena_stats().live()) {
+    report.Add(
         "ltree:/", "arena-conservation",
         StrFormat("%llu nodes reachable + %llu epoch-pending but the arena "
                   "accounts %llu live",
                   static_cast<unsigned long long>(ctx.reachable_nodes),
                   static_cast<unsigned long long>(pending),
-                  static_cast<unsigned long long>(
-                      tree.arena_stats().live())));
+                  static_cast<unsigned long long>(arena_stats().live())));
   }
   // Epoch reclamation: retired ∪ reachable must partition the live nodes —
   // no retired node may still be reachable from the root (use-after-
   // reclaim in waiting) and no node may sit in two buckets (double free).
-  if (epoch != nullptr && pending != 0) {
+  if (epoch_ != nullptr && pending != 0) {
     std::unordered_set<const void*> live_set;
     CollectReachable(root, &live_set);
     std::unordered_set<const void*> retired_set;
-    epoch->ForEachPending([&](const void* obj) {
+    epoch_->ForEachPending([&](const void* obj) {
       if (live_set.count(obj) != 0) {
-        report->Add("ltree:/", "epoch-reclamation",
-                    StrFormat("retired node %p still reachable from the root",
-                              obj));
+        report.Add("ltree:/", "epoch-reclamation",
+                   StrFormat("retired node %p still reachable from the root",
+                             obj));
       }
       if (!retired_set.insert(obj).second) {
-        report->Add("ltree:/", "epoch-reclamation",
-                    StrFormat("node %p retired twice", obj));
+        report.Add("ltree:/", "epoch-reclamation",
+                   StrFormat("node %p retired twice", obj));
       }
     });
   }
+  return report;
 }
 
-}  // namespace audit
 }  // namespace ltree

@@ -236,25 +236,8 @@ Result<xml::NodeId> LabeledDocument::InsertFragment(xml::NodeId parent_id,
   LTREE_RETURN_IF_ERROR(attach);
 
   // Tag stream of the clone, in order, as one leaf batch (Section 4.1).
-  std::vector<xml::TagEntry> stream;
-  {
-    // Reuse Document::TagStream logic via a local recursion.
-    struct Walker {
-      static void Walk(const xml::Node* n, std::vector<xml::TagEntry>* out) {
-        if (n->IsText()) {
-          out->push_back({xml::TagEntry::Kind::kText, n});
-          return;
-        }
-        out->push_back({xml::TagEntry::Kind::kBegin, n});
-        for (const xml::Node* c = n->first_child; c != nullptr;
-             c = c->next_sibling) {
-          Walk(c, out);
-        }
-        out->push_back({xml::TagEntry::Kind::kEnd, n});
-      }
-    };
-    Walker::Walk(clone_root, &stream);
-  }
+  const std::vector<xml::TagEntry> stream =
+      xml::Document::TagStream(clone_root);
   std::vector<LeafCookie> cookies;
   cookies.reserve(stream.size());
   for (const xml::TagEntry& entry : stream) {
@@ -349,9 +332,9 @@ Result<bool> LabeledDocument::IsAncestor(xml::NodeId ancestor,
 }
 
 Status LabeledDocument::CheckConsistency() const {
-  LTREE_RETURN_IF_ERROR(store_->CheckInvariants());
-  LTREE_RETURN_IF_ERROR(table_.CheckInvariants());
-  LTREE_RETURN_IF_ERROR(doc_.CheckInvariants());
+  LTREE_RETURN_IF_ERROR(store_->Validate().ToStatus());
+  LTREE_RETURN_IF_ERROR(table_.Validate().ToStatus());
+  LTREE_RETURN_IF_ERROR(doc_.Validate().ToStatus());
   // The labels read through the handles must be strictly increasing along
   // the current tag stream, and table regions must match them.
   Label prev = 0;

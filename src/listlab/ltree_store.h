@@ -55,7 +55,7 @@ class LTreeStore : public LabelStore, private RelabelListener {
   MaintStats stats() const override { return tree_->stats(); }
   void ResetStats() override { tree_->ResetStats(); }
 
-  /// Deep validator: audits the wrapped L-Tree (audit::AuditLTree) with its
+  /// Deep validator: audits the wrapped L-Tree (LTree::Validate) with its
   /// epoch manager (arena conservation counts epoch-pending nodes; the
   /// `epoch-reclamation` rule proves no retired leaf is still reachable),
   /// then the handle map — every non-erased handle must resolve to a

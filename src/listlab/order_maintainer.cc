@@ -4,11 +4,6 @@
 #include <numeric>
 #include <shared_mutex>
 
-#ifdef LISTLAB_VALIDATE
-#include <cstdlib>
-#include <iostream>
-#endif
-
 #include "common/macros.h"
 
 namespace ltree {
@@ -16,12 +11,7 @@ namespace listlab {
 
 #ifdef LISTLAB_VALIDATE
 void LabelStore::AutoValidate(const char* op) const {
-  const audit::Report report = Validate();
-  if (report.ok()) return;
-  std::cerr << "LISTLAB_VALIDATE: " << name() << " corrupted after " << op
-            << ":\n"
-            << report.ToString() << "\n";
-  std::abort();
+  audit::AbortIfViolated(Validate(), name(), op);
 }
 #endif
 

@@ -192,12 +192,14 @@ class LabelStore {
   /// across a sequence of reads, not per call.
   class ReadGuard {
    public:
-    ReadGuard() = default;
     ReadGuard(ReadGuard&&) = default;
     ReadGuard& operator=(ReadGuard&&) = default;
 
    private:
+    // Only AcquireRead builds one: a default guard holds neither a pin nor
+    // a lock, and the reads trust the guard to hold one.
     friend class LabelStore;
+    ReadGuard() = default;
     epoch::ReadGuard pin_;                      // lock-free schemes
     std::shared_lock<std::shared_mutex> lock_;  // serialized fallback
   };
@@ -264,10 +266,6 @@ class LabelStore {
   /// store's own handle bookkeeping, reporting every violation instead of
   /// stopping at the first. Clean after every public call on every scheme.
   virtual audit::Report Validate() const = 0;
-
-  /// Legacy first-violation form: OK, or Corruption carrying the first
-  /// Validate() finding.
-  Status CheckInvariants() const { return Validate().ToStatus(); }
 
  protected:
 #ifdef LISTLAB_VALIDATE

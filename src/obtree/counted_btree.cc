@@ -1144,10 +1144,11 @@ void CollectReachable(const Node* n, std::unordered_set<const void*>* out) {
 
 }  // namespace
 
-void CountedBTree::Audit(audit::Report* report) const {
+audit::Report CountedBTree::Validate() const {
+  audit::Report report;
   if (root_ != nullptr) {
     int leaf_depth = -1;
-    AuditNode(root_, order_, true, 0, &leaf_depth, "btree:/", report);
+    AuditNode(root_, order_, true, 0, &leaf_depth, "btree:/", &report);
   }
   // Arena conservation: at every quiescent point the pool's live counter
   // must equal the number of nodes reachable from the root — plus, with an
@@ -1156,13 +1157,13 @@ void CountedBTree::Audit(audit::Report* report) const {
   const uint64_t reachable = NodeCount();
   const uint64_t pending = epoch_ == nullptr ? 0 : epoch_->pending();
   if (arena_stats().live() != reachable + pending) {
-    report->Add("btree:/", "arena-conservation",
-                StrFormat("%llu nodes reachable + %llu epoch-pending but the "
-                          "pool accounts %llu live",
-                          static_cast<unsigned long long>(reachable),
-                          static_cast<unsigned long long>(pending),
-                          static_cast<unsigned long long>(
-                              arena_stats().live())));
+    report.Add("btree:/", "arena-conservation",
+               StrFormat("%llu nodes reachable + %llu epoch-pending but the "
+                         "pool accounts %llu live",
+                         static_cast<unsigned long long>(reachable),
+                         static_cast<unsigned long long>(pending),
+                         static_cast<unsigned long long>(
+                             arena_stats().live())));
   }
   // Epoch reclamation: a retired node must be unreachable from the live
   // structure (it was unlinked before Retire) and retired exactly once —
@@ -1173,23 +1174,18 @@ void CountedBTree::Audit(audit::Report* report) const {
     std::unordered_set<const void*> retired_set;
     epoch_->ForEachPending([&](const void* obj) {
       if (live_set.count(obj) != 0) {
-        report->Add("btree:/", "epoch-reclamation",
-                    StrFormat("retired node %p still reachable from the "
-                              "root",
-                              obj));
+        report.Add("btree:/", "epoch-reclamation",
+                   StrFormat("retired node %p still reachable from the "
+                             "root",
+                             obj));
       }
       if (!retired_set.insert(obj).second) {
-        report->Add("btree:/", "epoch-reclamation",
-                    StrFormat("node %p retired twice", obj));
+        report.Add("btree:/", "epoch-reclamation",
+                   StrFormat("node %p retired twice", obj));
       }
     });
   }
-}
-
-Status CountedBTree::CheckInvariants() const {
-  audit::Report report;
-  Audit(&report);
-  return report.ToStatus();
+  return report;
 }
 
 // --------------------------------------------------------------------------

@@ -154,24 +154,34 @@ std::vector<const NodeRow*> NodeTable::ChildrenOf(xml::NodeId parent) const {
   return out;
 }
 
-Status NodeTable::CheckInvariants() const {
+audit::Report NodeTable::Validate() const {
+  audit::Report report;
   for (const auto& [tag, bucket] : by_tag_) {
     Label prev = 0;
     bool first = true;
     for (size_t slot : bucket) {
       if (!rows_[slot].live) continue;
       const NodeRow& row = rows_[slot].row;
+      auto path = [&] {
+        return "table:/" + tag + "/" + std::to_string(row.id);
+      };
       if (row.region.start >= row.region.end) {
-        return Status::Corruption("malformed region");
+        report.Add(path(), "region-shape",
+                   StrFormat("region [%llu, %llu] has start >= end",
+                             static_cast<unsigned long long>(row.region.start),
+                             static_cast<unsigned long long>(row.region.end)));
       }
       if (!first && row.region.start <= prev) {
-        return Status::Corruption("tag bucket not sorted by start label");
+        report.Add(path(), "tag-bucket-order",
+                   StrFormat("start label %llu not above predecessor %llu",
+                             static_cast<unsigned long long>(row.region.start),
+                             static_cast<unsigned long long>(prev)));
       }
       prev = row.region.start;
       first = false;
     }
   }
-  return Status::OK();
+  return report;
 }
 
 }  // namespace query

@@ -20,6 +20,7 @@
 #include "common/result.h"
 #include "common/status.h"
 #include "core/params.h"
+#include "core/validate.h"
 #include "xml/xml_node.h"
 
 namespace ltree {
@@ -89,8 +90,11 @@ class NodeTable {
   /// Direct children of a node (by parent id), unsorted.
   std::vector<const NodeRow*> ChildrenOf(xml::NodeId parent) const;
 
-  /// Verifies regions are consistent with the index ordering.
-  Status CheckInvariants() const;
+  /// Deep validator: every live element row has a well-formed region
+  /// (rule "region-shape": start < end) and every tag bucket is strictly
+  /// sorted by start label ("tag-bucket-order"). Paths are
+  /// "table:/<tag>/<node id>".
+  audit::Report Validate() const;
 
  private:
   struct Slot {

@@ -126,8 +126,6 @@ class ReplicationSession {
   ///     below any position this session successfully applied.
   audit::Report Validate() const;
 
-  Status CheckInvariants() const { return Validate().ToStatus(); }
-
  private:
   /// Outcome classification of one attempt (see SessionStats).
   enum class Attempt { kApplied, kRetryable, kViolation };

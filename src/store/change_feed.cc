@@ -71,33 +71,36 @@ void ChangeFeed::TrimTo(uint64_t keep) {
   }
 }
 
-void ChangeFeed::Audit(audit::Report* report, const std::string& path) const {
+audit::Report ChangeFeed::Validate() const {
+  const std::string path = "/feed";
+  audit::Report report;
   if (events_.size() > capacity_) {
-    report->Add(path, "feed-continuity",
-                "retained " + std::to_string(events_.size()) +
-                    " events exceeds capacity " + std::to_string(capacity_));
+    report.Add(path, "feed-continuity",
+               "retained " + std::to_string(events_.size()) +
+                   " events exceeds capacity " + std::to_string(capacity_));
   }
   if (trimmed_ + events_.size() != last_seq_) {
-    report->Add(path, "feed-continuity",
-                "trimmed (" + std::to_string(trimmed_) + ") + retained (" +
-                    std::to_string(events_.size()) + ") != last_seq (" +
-                    std::to_string(last_seq_) + ")");
+    report.Add(path, "feed-continuity",
+               "trimmed (" + std::to_string(trimmed_) + ") + retained (" +
+                   std::to_string(events_.size()) + ") != last_seq (" +
+                   std::to_string(last_seq_) + ")");
   }
   if (!events_.empty() && events_.back().seq != last_seq_) {
-    report->Add(path, "feed-continuity",
-                "newest retained seq " + std::to_string(events_.back().seq) +
-                    " != last_seq " + std::to_string(last_seq_));
+    report.Add(path, "feed-continuity",
+               "newest retained seq " + std::to_string(events_.back().seq) +
+                   " != last_seq " + std::to_string(last_seq_));
   }
   uint64_t expected = first_retained_seq();
   for (const FeedEvent& event : events_) {
     if (event.seq != expected) {
-      report->Add(path, "feed-continuity",
-                  "sequence gap: expected #" + std::to_string(expected) +
-                      ", found " + event.ToString());
+      report.Add(path, "feed-continuity",
+                 "sequence gap: expected #" + std::to_string(expected) +
+                     ", found " + event.ToString());
       expected = event.seq;  // resync so one gap reports once
     }
     ++expected;
   }
+  return report;
 }
 
 }  // namespace store

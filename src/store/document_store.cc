@@ -1,8 +1,6 @@
 #include "store/document_store.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <iostream>
 #include <numeric>
 
 #include "common/macros.h"
@@ -454,15 +452,15 @@ audit::Report DocumentStore::Validate() const {
     report.Absorb(shards_[i]->store->Validate(),
                   "docstore:/shard" + std::to_string(i));
   }
-  ValidateStoreLevel(&report);
+  report.Absorb(ValidateStoreLevel(), "");
   return report;
 }
 
-void DocumentStore::ValidateStoreLevel(audit::Report* out) const {
-  audit::Report& report = *out;
+audit::Report DocumentStore::ValidateStoreLevel() const {
+  audit::Report report;
   for (uint32_t i = 0; i < num_shards(); ++i) {
-    shards_[i]->feed.Audit(&report,
-                           "docstore:/shard" + std::to_string(i) + "/feed");
+    report.Absorb(shards_[i]->feed.Validate(),
+                  "docstore:/shard" + std::to_string(i));
   }
 
   // shard-routing: the document registry and the shard schemes form a
@@ -576,6 +574,7 @@ void DocumentStore::ValidateStoreLevel(audit::Report* out) const {
   for (const auto& ctx : shards_) live_total += ctx->store->size();
   check(live_total, ledger_.inserts - ledger_.erases,
         "live items vs ledger insert/erase balance");
+  return report;
 }
 
 void DocumentStore::AutoValidate(const char* op) const {
@@ -583,13 +582,7 @@ void DocumentStore::AutoValidate(const char* op) const {
   // Only the store-layer rules re-run here: under LISTLAB_VALIDATE each
   // shard's scheme already deep-audits itself after every mutation, so
   // repeating those walks per store mutation would square the cost.
-  audit::Report report;
-  ValidateStoreLevel(&report);
-  if (report.ok()) return;
-  std::cerr << "LISTLAB_VALIDATE: DocumentStore corrupted after " << op
-            << ":\n"
-            << report.ToString() << "\n";
-  std::abort();
+  audit::AbortIfViolated(ValidateStoreLevel(), "DocumentStore", op);
 #else
   (void)op;
 #endif

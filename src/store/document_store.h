@@ -231,8 +231,6 @@ class DocumentStore {
   /// the first violation.
   audit::Report Validate() const;
 
-  Status CheckInvariants() const { return Validate().ToStatus(); }
-
  private:
   friend class DocumentStoreTestPeer;  // seeds corruptions in negative tests
 
@@ -264,7 +262,7 @@ class DocumentStore {
                      listlab::ItemHandle handle);
   // Feed continuity + shard-routing + stats-rollup, without the per-shard
   // scheme deep audits; this is what AutoValidate re-runs per mutation.
-  void ValidateStoreLevel(audit::Report* out) const;
+  audit::Report ValidateStoreLevel() const;
   void AutoValidate(const char* op) const;
 
   DocStoreOptions options_;

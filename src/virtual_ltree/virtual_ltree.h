@@ -131,16 +131,11 @@ class VirtualLTree {
   /// space-trade-off bench).
   uint64_t ApproxMemoryBytes() const;
 
-  /// Deep validator: audits the backing counted B+-tree, then the virtual
-  /// structure — label-space bounds, consecutive child digits within every
-  /// occupied interval, leaf budgets, and tombstone accounting against
-  /// num_live_leaves(). Appends every violation to `report`.
-  void Audit(audit::Report* report) const;
-
-  /// Validates the virtual structure: digit bounds, consecutive child
-  /// indices within every occupied interval, and leaf budgets; the first
-  /// Audit() violation as a Status.
-  Status CheckInvariants() const;
+  /// Deep validator: the backing counted B+-tree's report, plus the
+  /// virtual structure — label-space bounds, consecutive child digits
+  /// within every occupied interval, leaf budgets, and tombstone accounting
+  /// against num_live_leaves() — under "virtual:"-prefixed paths.
+  audit::Report Validate() const;
 
  private:
   VirtualLTree(const Params& params, PowerTable powers);

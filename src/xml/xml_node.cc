@@ -226,17 +226,18 @@ void StreamNode(const Node* n, std::vector<TagEntry>* out) {
 }
 }  // namespace
 
-std::vector<TagEntry> Document::TagStream() const {
+std::vector<TagEntry> Document::TagStream(const Node* subtree) {
   std::vector<TagEntry> out;
-  if (root_ != nullptr) StreamNode(root_, &out);
+  if (subtree != nullptr) StreamNode(subtree, &out);
   return out;
 }
 
-void Document::Audit(audit::Report* report) const {
+audit::Report Document::Validate() const {
+  audit::Report report;
   uint64_t visited = 0;
   if (root_ != nullptr) {
     if (root_->parent != nullptr) {
-      report->Add("doc:/", "root-parent", "root has a parent");
+      report.Add("doc:/", "root-parent", "root has a parent");
     }
     struct Frame {
       const Node* node;
@@ -249,7 +250,7 @@ void Document::Audit(audit::Report* report) const {
       stack.pop_back();
       ++visited;
       if (n->IsText() && n->first_child != nullptr) {
-        report->Add(frame.path, "text-childless", "text node with children");
+        report.Add(frame.path, "text-childless", "text node with children");
         continue;
       }
       const Node* prev = nullptr;
@@ -261,15 +262,15 @@ void Document::Audit(audit::Report* report) const {
             (frame.path.back() == '/' ? frame.path : frame.path + "/") +
             std::to_string(idx);
         if (c->parent != n) {
-          report->Add(child_path, "parent-link",
-                      "child's parent pointer does not point at the actual "
-                      "parent");
+          report.Add(child_path, "parent-link",
+                     "child's parent pointer does not point at the actual "
+                     "parent");
           links_ok = false;
           break;
         }
         if (c->prev_sibling != prev) {
-          report->Add(child_path, "sibling-link",
-                      "prev_sibling does not point at the previous child");
+          report.Add(child_path, "sibling-link",
+                     "prev_sibling does not point at the previous child");
           links_ok = false;
           break;
         }
@@ -277,23 +278,18 @@ void Document::Audit(audit::Report* report) const {
         stack.push_back({c, child_path});
       }
       if (links_ok && n->last_child != prev) {
-        report->Add(frame.path, "sibling-link",
-                    "last_child does not point at the final child");
+        report.Add(frame.path, "sibling-link",
+                   "last_child does not point at the final child");
       }
     }
   }
   if (visited > live_nodes_) {
-    report->Add("doc:/", "live-count",
-                StrFormat("%llu attached nodes exceed %llu live nodes",
-                          static_cast<unsigned long long>(visited),
-                          static_cast<unsigned long long>(live_nodes_)));
+    report.Add("doc:/", "live-count",
+               StrFormat("%llu attached nodes exceed %llu live nodes",
+                         static_cast<unsigned long long>(visited),
+                         static_cast<unsigned long long>(live_nodes_)));
   }
-}
-
-Status Document::CheckInvariants() const {
-  audit::Report report;
-  Audit(&report);
-  return report.ToStatus();
+  return report;
 }
 
 }  // namespace xml

@@ -112,16 +112,16 @@ class Document {
   void Visit(const std::function<void(const Node&)>& fn) const;
 
   /// Document-order tag stream of the attached tree (Section 2).
-  std::vector<TagEntry> TagStream() const;
+  std::vector<TagEntry> TagStream() const { return TagStream(root_); }
 
-  /// Deep validator: appends every broken structural rule (link symmetry,
-  /// single root, text-node leaf-ness, live-node accounting) to `report`
-  /// with "doc:"-prefixed node paths.
-  void Audit(audit::Report* report) const;
+  /// Document-order tag stream of the subtree rooted at `subtree` (empty
+  /// for nullptr); attached or not.
+  static std::vector<TagEntry> TagStream(const Node* subtree);
 
-  /// Structural checks: link symmetry, ownership, single root; the first
-  /// Audit() violation as a Status.
-  Status CheckInvariants() const;
+  /// Deep validator: reports every broken structural rule (link symmetry,
+  /// single root, text-node leaf-ness, live-node accounting) with
+  /// "doc:"-prefixed node paths.
+  audit::Report Validate() const;
 
  private:
   Node* NewNode(NodeType type);

@@ -30,6 +30,7 @@
 #include <random>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "listlab/factory.h"
@@ -37,6 +38,11 @@
 
 namespace ltree {
 namespace {
+
+// Only AcquireRead can build a guard: a default-constructed one would hold
+// neither an epoch pin nor a shared lock, yet ScanAll on a serialized
+// scheme trusts the guard to hold the lock.
+static_assert(!std::is_default_constructible_v<listlab::LabelStore::ReadGuard>);
 
 using listlab::ItemHandle;
 using listlab::LabelStore;

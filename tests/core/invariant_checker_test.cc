@@ -1,5 +1,6 @@
-// Negative tests: the invariant checkers must actually detect corruption.
-// Node is exposed in core/node.h precisely so these tests can seed faults.
+// Negative tests: LTree::Validate() must actually detect corruption, and
+// name the broken rule. Node is exposed in core/node.h precisely so these
+// tests can seed faults.
 
 #include <gtest/gtest.h>
 
@@ -23,12 +24,12 @@ std::unique_ptr<LTree> MakeTree(std::vector<LTree::LeafHandle>* handles) {
 TEST(InvariantCheckerTest, DetectsWrongLeafLabel) {
   std::vector<LTree::LeafHandle> handles;
   auto tree = MakeTree(&handles);
-  ASSERT_TRUE(tree->CheckInvariants().ok());
+  ASSERT_TRUE(tree->Validate().ok());
   const Label saved = handles[3]->num;
   handles[3]->num = saved + 1;  // violates num(w) = num(v) + i*(f+1)^h
-  EXPECT_TRUE(tree->CheckInvariants().IsCorruption());
+  EXPECT_TRUE(tree->Validate().HasRule("label-identity"));
   handles[3]->num = saved;
-  EXPECT_TRUE(tree->CheckInvariants().ok());
+  EXPECT_TRUE(tree->Validate().ok());
 }
 
 TEST(InvariantCheckerTest, DetectsWrongLeafCount) {
@@ -37,9 +38,9 @@ TEST(InvariantCheckerTest, DetectsWrongLeafCount) {
   Node* internal = handles[0]->parent;
   const uint64_t saved = internal->leaf_count;
   internal->leaf_count = saved + 1;
-  EXPECT_TRUE(tree->CheckInvariants().IsCorruption());
+  EXPECT_TRUE(tree->Validate().HasRule("leaf-count-sum"));
   internal->leaf_count = saved;
-  EXPECT_TRUE(tree->CheckInvariants().ok());
+  EXPECT_TRUE(tree->Validate().ok());
 }
 
 TEST(InvariantCheckerTest, DetectsBrokenParentPointer) {
@@ -49,10 +50,10 @@ TEST(InvariantCheckerTest, DetectsBrokenParentPointer) {
   Node* saved = leaf->parent;
   leaf->parent = handles[7]->parent;
   if (saved != leaf->parent) {
-    EXPECT_TRUE(tree->CheckInvariants().IsCorruption());
+    EXPECT_TRUE(tree->Validate().HasRule("parent-link"));
   }
   leaf->parent = saved;
-  EXPECT_TRUE(tree->CheckInvariants().ok());
+  EXPECT_TRUE(tree->Validate().ok());
 }
 
 TEST(InvariantCheckerTest, DetectsWrongIndexInParent) {
@@ -61,9 +62,9 @@ TEST(InvariantCheckerTest, DetectsWrongIndexInParent) {
   Node* leaf = handles[0];
   const uint32_t saved = leaf->index_in_parent;
   leaf->index_in_parent = saved + 1;
-  EXPECT_TRUE(tree->CheckInvariants().IsCorruption());
+  EXPECT_TRUE(tree->Validate().HasRule("child-index"));
   leaf->index_in_parent = saved;
-  EXPECT_TRUE(tree->CheckInvariants().ok());
+  EXPECT_TRUE(tree->Validate().ok());
 }
 
 TEST(InvariantCheckerTest, DetectsBudgetViolation) {
@@ -75,18 +76,18 @@ TEST(InvariantCheckerTest, DetectsBudgetViolation) {
   Node* root = const_cast<Node*>(tree->root());
   const uint64_t saved = root->leaf_count;
   root->leaf_count = tree->powers().LeafBudget(root->height);
-  EXPECT_TRUE(tree->CheckInvariants().IsCorruption());
+  EXPECT_TRUE(tree->Validate().HasRule("leaf-budget"));
   root->leaf_count = saved;
-  EXPECT_TRUE(tree->CheckInvariants().ok());
+  EXPECT_TRUE(tree->Validate().ok());
 }
 
 TEST(InvariantCheckerTest, DetectsStaleLiveCounter) {
   std::vector<LTree::LeafHandle> handles;
   auto tree = MakeTree(&handles);
   handles[1]->deleted = true;  // bypassing MarkDeleted leaves counters stale
-  EXPECT_TRUE(tree->CheckInvariants().IsCorruption());
+  EXPECT_TRUE(tree->Validate().HasRule("live-count"));
   handles[1]->deleted = false;
-  EXPECT_TRUE(tree->CheckInvariants().ok());
+  EXPECT_TRUE(tree->Validate().ok());
 }
 
 }  // namespace

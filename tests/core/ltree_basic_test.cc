@@ -30,7 +30,7 @@ TEST(LTreeCreateTest, EmptyTree) {
   EXPECT_EQ(tree->num_live_leaves(), 0u);
   EXPECT_EQ(tree->height(), 1u);
   EXPECT_EQ(tree->FirstLeaf(), nullptr);
-  EXPECT_TRUE(tree->CheckInvariants().ok());
+  EXPECT_TRUE(tree->Validate().ok());
 }
 
 TEST(LTreeBulkLoadTest, PaperFigure2LabelAssignment) {
@@ -46,7 +46,7 @@ TEST(LTreeBulkLoadTest, PaperFigure2LabelAssignment) {
   EXPECT_EQ(tree->height(), 3u);
   std::vector<Label> expected{0, 1, 5, 6, 25, 26, 30, 31};
   EXPECT_EQ(tree->LiveLabels(), expected);
-  EXPECT_TRUE(tree->CheckInvariants().ok());
+  EXPECT_TRUE(tree->Validate().ok());
   EXPECT_EQ(tree->label_space(), 125u);
 }
 
@@ -57,7 +57,7 @@ TEST(LTreeBulkLoadTest, SingleLeaf) {
   EXPECT_EQ(tree->height(), 1u);
   EXPECT_EQ(tree->num_slots(), 1u);
   EXPECT_EQ(tree->LiveLabels(), std::vector<Label>{0});
-  EXPECT_TRUE(tree->CheckInvariants().ok());
+  EXPECT_TRUE(tree->Validate().ok());
 }
 
 TEST(LTreeBulkLoadTest, EmptyLoadIsNoop) {
@@ -79,7 +79,7 @@ TEST(LTreeBulkLoadTest, NonPowerSizesKeepLeavesAtOneLevel) {
     auto cookies = MakeCookies(n);
     ASSERT_TRUE(tree->BulkLoad(cookies).ok()) << "n=" << n;
     EXPECT_EQ(tree->num_slots(), n);
-    ASSERT_TRUE(tree->CheckInvariants().ok()) << "n=" << n;
+    ASSERT_TRUE(tree->Validate().ok()) << "n=" << n;
     // Labels strictly increasing and cookie order preserved.
     auto labels = tree->LiveLabels();
     EXPECT_TRUE(std::is_sorted(labels.begin(), labels.end()));
@@ -104,7 +104,7 @@ TEST(LTreeInsertTest, PaperFigure2cInsertWithoutSplit) {
   EXPECT_EQ(tree->stats().inserts, 1u);
   EXPECT_EQ(tree->stats().rebalances, 0u);
   EXPECT_EQ(tree->stats().root_splits, 0u);
-  EXPECT_TRUE(tree->CheckInvariants().ok());
+  EXPECT_TRUE(tree->Validate().ok());
   EXPECT_EQ(tree->num_slots(), 9u);
   // The new leaf lands between handles[1] and handles[2].
   EXPECT_GT(tree->label(*inserted), tree->label(handles[1]));
@@ -124,7 +124,7 @@ TEST(LTreeInsertTest, PaperFigure2dSecondInsertSplits) {
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(tree->stats().rebalances, 1u);
   EXPECT_EQ(tree->stats().root_splits, 0u);
-  EXPECT_TRUE(tree->CheckInvariants().ok());
+  EXPECT_TRUE(tree->Validate().ok());
   // Order: handles[1] < first < second < handles[2].
   EXPECT_LT(tree->label(handles[1]), tree->label(*first));
   EXPECT_LT(tree->label(*first), tree->label(*second));
@@ -139,7 +139,7 @@ TEST(LTreeInsertTest, PushBackIntoEmptyTree) {
   auto h1 = tree->PushBack(8);
   ASSERT_TRUE(h1.ok());
   EXPECT_GT(tree->label(*h1), tree->label(*h0));
-  EXPECT_TRUE(tree->CheckInvariants().ok());
+  EXPECT_TRUE(tree->Validate().ok());
   EXPECT_EQ(tree->num_slots(), 2u);
 }
 
@@ -168,11 +168,11 @@ TEST(LTreeInsertTest, RootSplitGrowsHeight) {
   uint64_t cookie = 100;
   while (tree->stats().root_splits == 0) {
     ASSERT_TRUE(tree->PushBack(cookie++).ok());
-    ASSERT_TRUE(tree->CheckInvariants().ok());
+    ASSERT_TRUE(tree->Validate().ok());
     ASSERT_LT(cookie, 200u) << "root split never happened";
   }
   EXPECT_EQ(tree->height(), 3u);
-  EXPECT_TRUE(tree->CheckInvariants().ok());
+  EXPECT_TRUE(tree->Validate().ok());
 }
 
 TEST(LTreeInsertTest, OrderPreservedUnderManyAppends) {
@@ -184,7 +184,7 @@ TEST(LTreeInsertTest, OrderPreservedUnderManyAppends) {
   auto labels = tree->AllLabels();
   EXPECT_EQ(labels.size(), 502u);
   EXPECT_TRUE(std::is_sorted(labels.begin(), labels.end()));
-  EXPECT_TRUE(tree->CheckInvariants().ok());
+  EXPECT_TRUE(tree->Validate().ok());
 }
 
 TEST(LTreeDeleteTest, TombstoneDoesNotRelabel) {

@@ -63,7 +63,7 @@ TEST_P(LTreePropertyTest, RandomOpStreamKeepsAllInvariants) {
       }
     }
 
-    ASSERT_TRUE(tree->CheckInvariants().ok())
+    ASSERT_TRUE(tree->Validate().ok())
         << "op " << op << " params f=" << pc.f << " s=" << pc.s;
   }
 

@@ -176,7 +176,7 @@ TEST_P(ArenaConservationTest, RandomScriptConservesNodes) {
     if (i % 100 == 0) check("mid script");
   }
   check("after script");
-  ASSERT_TRUE(tree->CheckInvariants().ok());
+  ASSERT_TRUE(tree->Validate().ok());
 
   if (purge) {
     EXPECT_GT(tree->stats().tombstones_purged, 0u);
@@ -210,7 +210,7 @@ TEST(ArenaConservationTest, BatchScriptConservesNodes) {
     }
     ASSERT_EQ(tree->arena_stats().live(), CountNodes(tree->root()));
   }
-  ASSERT_TRUE(tree->CheckInvariants().ok());
+  ASSERT_TRUE(tree->Validate().ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -287,7 +287,7 @@ TEST(SeedGoldenStatsTest, UniformSingleInserts) {
     const size_t r = static_cast<size_t>(rng.Uniform(handles.size()));
     handles.push_back(tree->InsertAfter(handles[r], 1000 + i).ValueOrDie());
   }
-  ASSERT_TRUE(tree->CheckInvariants().ok());
+  ASSERT_TRUE(tree->Validate().ok());
   ExpectGolden(*tree, {.ancestor_updates = 26904,
                        .nodes_relabeled = 53482,
                        .items_relabeled = 36285,
@@ -315,7 +315,7 @@ TEST(SeedGoldenStatsTest, BatchInserts) {
     const size_t r = static_cast<size_t>(rng.Uniform(handles.size()));
     ASSERT_TRUE(tree->InsertBatchAfter(handles[r], batch, &handles).ok());
   }
-  ASSERT_TRUE(tree->CheckInvariants().ok());
+  ASSERT_TRUE(tree->Validate().ok());
   ExpectGolden(*tree, {.ancestor_updates = 335,
                        .nodes_relabeled = 19262,
                        .items_relabeled = 9446,
@@ -354,7 +354,7 @@ TEST(SeedGoldenStatsTest, MixedEraseInsertWithPurge) {
     handles.push_back(tree->InsertAfter(live, 512 + i).ValueOrDie());
     erased.push_back(false);
   }
-  ASSERT_TRUE(tree->CheckInvariants().ok());
+  ASSERT_TRUE(tree->Validate().ok());
   ExpectGolden(*tree, {.ancestor_updates = 15932,
                        .nodes_relabeled = 101354,
                        .items_relabeled = 68980,
@@ -388,7 +388,7 @@ TEST(SeedGoldenStatsTest, EscalatingBatchesCoalesceIntoOneRegion) {
     for (auto& c : batch) c = next++;
     const size_t r = static_cast<size_t>(rng.Uniform(handles.size()));
     ASSERT_TRUE(tree->InsertBatchAfter(handles[r], batch, &handles).ok());
-    ASSERT_TRUE(tree->CheckInvariants().ok()) << "batch " << b;
+    ASSERT_TRUE(tree->Validate().ok()) << "batch " << b;
   }
   // 48 batches -> 48 relabel passes, even though one region absorbed a
   // fanout-overflow escalation (esc=1, coal=1): splits counts regions.

@@ -35,12 +35,6 @@ std::unique_ptr<LTree> MakeTree(uint64_t leaves) {
   return tree;
 }
 
-audit::Report Audit(const LTree& tree) {
-  audit::Report report;
-  audit::AuditLTree(tree, &report);
-  return report;
-}
-
 // ---------------------------------------------------------------------------
 // Report mechanics
 // ---------------------------------------------------------------------------
@@ -94,7 +88,7 @@ TEST(ReportTest, AbsorbPrefixesPaths) {
 
 TEST(LTreeAuditTest, CleanTreeHasNoViolations) {
   auto tree = MakeTree(300);
-  const audit::Report report = Audit(*tree);
+  const audit::Report report = tree->Validate();
   EXPECT_TRUE(report.ok()) << report.ToString();
 }
 
@@ -105,11 +99,16 @@ TEST(LTreeAuditTest, DetectsSwappedLeafLabels) {
   ASSERT_NE(second, nullptr);
   std::swap(first->num, second->num);
 
-  const audit::Report report = Audit(*tree);
+  const audit::Report report = tree->Validate();
   EXPECT_TRUE(report.HasRule("label-order")) << report.ToString();
   // The swap also breaks the num(w) identity — both slugs must surface.
   EXPECT_TRUE(report.HasRule("label-identity")) << report.ToString();
-  EXPECT_TRUE(tree->CheckInvariants().IsCorruption());
+  // The Status form carries the first violation's slug: the first leaf's
+  // identity breaks before the second leaf's order does.
+  const Status status = report.ToStatus();
+  EXPECT_TRUE(status.IsCorruption());
+  EXPECT_NE(status.message().find("[label-identity]"), std::string::npos)
+      << status.ToString();
 }
 
 TEST(LTreeAuditTest, DetectsBrokenParentLink) {
@@ -119,7 +118,7 @@ TEST(LTreeAuditTest, DetectsBrokenParentLink) {
   Node* const saved = leaf->parent;
   leaf->parent = leaf;  // point anywhere but the real parent
 
-  const audit::Report report = Audit(*tree);
+  const audit::Report report = tree->Validate();
   EXPECT_TRUE(report.HasRule("parent-link")) << report.ToString();
   leaf->parent = saved;  // restore so teardown walks a sane tree
 }
@@ -131,7 +130,7 @@ TEST(LTreeAuditTest, DetectsWrongSubtreeLeafCount) {
   Node* child = root->children[0];
   child->leaf_count += 1;
 
-  const audit::Report report = Audit(*tree);
+  const audit::Report report = tree->Validate();
   // Wrong at the child (its children no longer sum to it) and at the root
   // (whose stored total now disagrees with the actual slot count).
   EXPECT_TRUE(report.HasRule("leaf-count-sum")) << report.ToString();
@@ -145,7 +144,7 @@ TEST(LTreeAuditTest, DetectsTombstoneAccountingDrift) {
   ASSERT_FALSE(leaf->deleted);
   leaf->deleted = true;
 
-  const audit::Report report = Audit(*tree);
+  const audit::Report report = tree->Validate();
   EXPECT_TRUE(report.HasRule("live-count")) << report.ToString();
   leaf->deleted = false;
 }
@@ -156,7 +155,7 @@ TEST(LTreeAuditTest, DetectsChildIndexMismatch) {
   ASSERT_GE(root->children.size(), 2u);
   root->children[1]->index_in_parent = 0;
 
-  const audit::Report report = Audit(*tree);
+  const audit::Report report = tree->Validate();
   EXPECT_TRUE(report.HasRule("child-index")) << report.ToString();
   root->children[1]->index_in_parent = 1;
 }
@@ -167,7 +166,7 @@ TEST(LTreeAuditTest, ViolationPathsAreStructural) {
   Node* child = root->children[0];
   child->leaf_count += 1;
 
-  const audit::Report report = Audit(*tree);
+  const audit::Report report = tree->Validate();
   ASSERT_FALSE(report.ok());
   bool found = false;
   for (const audit::Violation& v : report.violations()) {

@@ -405,7 +405,7 @@ TEST(DocumentStoreAuditTest, CleanStoreAuditsOkAcrossSchemes) {
     ASSERT_TRUE(store->EraseAt(2, 5).ok()) << spec;
     const audit::Report report = store->Validate();
     EXPECT_TRUE(report.ok()) << spec << ": " << report.ToString();
-    EXPECT_TRUE(store->CheckInvariants().ok()) << spec;
+    EXPECT_TRUE(store->Validate().ok()) << spec;
   }
 }
 

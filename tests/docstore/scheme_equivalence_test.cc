@@ -204,7 +204,7 @@ TEST_P(BatchEdgeCaseTest, InsertBatchBeforeHead) {
   EXPECT_LT(*store->GetLabel(fresh[0]), *store->GetLabel(fresh[1]));
   EXPECT_LT(*store->GetLabel(fresh[1]), *store->GetLabel(fresh[2]));
   EXPECT_LT(*store->GetLabel(fresh[2]), *store->GetLabel(handles[0]));
-  EXPECT_TRUE(store->CheckInvariants().ok());
+  EXPECT_TRUE(store->Validate().ok());
 }
 
 TEST_P(BatchEdgeCaseTest, PushBackBatchOnEmptyStore) {
@@ -222,7 +222,7 @@ TEST_P(BatchEdgeCaseTest, PushBackBatchOnEmptyStore) {
   for (size_t i = 0; i < 4; ++i) {
     EXPECT_EQ(*store->GetCookie(fresh[i]), batch[i]);
   }
-  EXPECT_TRUE(store->CheckInvariants().ok());
+  EXPECT_TRUE(store->Validate().ok());
 }
 
 TEST_P(BatchEdgeCaseTest, FailedBatchLeavesStoreUntouched) {
@@ -242,7 +242,7 @@ TEST_P(BatchEdgeCaseTest, FailedBatchLeavesStoreUntouched) {
   EXPECT_EQ(store->size(), 7u);
   EXPECT_EQ(store->Labels(), labels_before);
   EXPECT_EQ(store->stats().inserts, 0u);
-  EXPECT_TRUE(store->CheckInvariants().ok());
+  EXPECT_TRUE(store->Validate().ok());
 }
 
 // Mid-batch capacity failure: only the L-Tree variants have a bounded
@@ -272,12 +272,12 @@ TEST_P(BatchCapacityRollbackTest, CapacityFailureIsAtomic) {
   EXPECT_TRUE(fresh.empty());
   EXPECT_EQ(store->size(), 60000u);
   EXPECT_EQ(store->stats().inserts, 0u);
-  EXPECT_TRUE(store->CheckInvariants().ok());
+  EXPECT_TRUE(store->Validate().ok());
   // The store is not poisoned: smaller batches still fit.
   const std::vector<LeafCookie> small{1, 2, 3};
   ASSERT_TRUE(store->InsertBatchAfter(handles[30000], small).ok());
   EXPECT_EQ(store->size(), 60003u);
-  EXPECT_TRUE(store->CheckInvariants().ok());
+  EXPECT_TRUE(store->Validate().ok());
 }
 
 INSTANTIATE_TEST_SUITE_P(Schemes, BatchEdgeCaseTest,

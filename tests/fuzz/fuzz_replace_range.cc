@@ -93,7 +93,7 @@ void CheckAgainstOracle(const CountedBTree& tree,
         oracle.begin());
     if (tree.CountLess(probe) != want_less) Die("CountLess mismatch");
   }
-  const Status invariants = tree.CheckInvariants();
+  const Status invariants = tree.Validate().ToStatus();
   if (!invariants.ok()) {
     std::fprintf(stderr, "replace-range: auditor: %s\n",
                  invariants.message().c_str());

@@ -70,7 +70,7 @@ TEST_P(OrderPropertyTest, LabelsMatchListOrderUnderRandomOps) {
     }
 
     if (op % 100 == 0) {
-      ASSERT_TRUE(maintainer->CheckInvariants().ok()) << "op " << op;
+      ASSERT_TRUE(maintainer->Validate().ok()) << "op " << op;
     }
   }
 
@@ -93,7 +93,7 @@ TEST_P(OrderPropertyTest, LabelsMatchListOrderUnderRandomOps) {
   for (size_t i = 0; i < order.size(); ++i) {
     EXPECT_EQ(labels[i], *maintainer->GetLabel(order[i]));
   }
-  ASSERT_TRUE(maintainer->CheckInvariants().ok());
+  ASSERT_TRUE(maintainer->Validate().ok());
 }
 
 INSTANTIATE_TEST_SUITE_P(

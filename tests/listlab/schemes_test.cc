@@ -21,7 +21,7 @@ TEST(SequentialListTest, BulkLoadIsConsecutive) {
   EXPECT_EQ(list.Labels(), (std::vector<Label>{0, 1, 2, 3, 4}));
   EXPECT_EQ(list.size(), 5u);
   EXPECT_EQ(list.erase_semantics(), EraseSemantics::kPhysical);
-  EXPECT_TRUE(list.CheckInvariants().ok());
+  EXPECT_TRUE(list.Validate().ok());
 }
 
 TEST(SequentialListTest, MidInsertShiftsSuffix) {
@@ -36,7 +36,7 @@ TEST(SequentialListTest, MidInsertShiftsSuffix) {
   EXPECT_EQ(list.stats().items_relabeled, 6u);
   EXPECT_EQ(list.Labels(),
             (std::vector<Label>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10}));
-  EXPECT_TRUE(list.CheckInvariants().ok());
+  EXPECT_TRUE(list.Validate().ok());
 }
 
 TEST(SequentialListTest, AppendIsFree) {
@@ -63,7 +63,7 @@ TEST(SequentialListTest, EraseLeavesGapThatAbsorbsShift) {
   ASSERT_TRUE(list.InsertAfter(ids[2], 0).ok());
   // Shift stops at the vacated slot: labels 3,4 move to 4,5.
   EXPECT_EQ(list.stats().items_relabeled, 2u);
-  EXPECT_TRUE(list.CheckInvariants().ok());
+  EXPECT_TRUE(list.Validate().ok());
 }
 
 TEST(SequentialListTest, ErasedHandleRejected) {
@@ -111,7 +111,7 @@ TEST(GapListTest, ExhaustedGapRenumbersAll) {
     if (list.stats().rebalances > static_cast<uint64_t>(renumbers)) {
       ++renumbers;
     }
-    ASSERT_TRUE(list.CheckInvariants().ok());
+    ASSERT_TRUE(list.Validate().ok());
   }
   EXPECT_GT(renumbers, 0);
   EXPECT_GT(list.stats().items_relabeled, relabels_before);
@@ -140,7 +140,7 @@ TEST(GapListTest, FailedBatchRollsBack) {
   EXPECT_TRUE(fresh.empty());
   EXPECT_EQ(list.size(), 2u);
   EXPECT_EQ(list.Labels().size(), 2u);
-  EXPECT_TRUE(list.CheckInvariants().ok());
+  EXPECT_TRUE(list.Validate().ok());
 }
 
 TEST(GapListTest, PushFrontUsesHalfGap) {
@@ -149,7 +149,7 @@ TEST(GapListTest, PushFrontUsesHalfGap) {
   ASSERT_TRUE(list.BulkLoad(2, &ids).ok());
   ASSERT_TRUE(list.PushFront(0).ok());
   EXPECT_EQ(list.Labels().front(), 0u);
-  EXPECT_TRUE(list.CheckInvariants().ok());
+  EXPECT_TRUE(list.Validate().ok());
 }
 
 TEST(BenderListTest, BulkLoadEvenSpread) {
@@ -159,7 +159,7 @@ TEST(BenderListTest, BulkLoadEvenSpread) {
   auto labels = list.Labels();
   ASSERT_EQ(labels.size(), 16u);
   EXPECT_TRUE(std::is_sorted(labels.begin(), labels.end()));
-  EXPECT_TRUE(list.CheckInvariants().ok());
+  EXPECT_TRUE(list.Validate().ok());
 }
 
 TEST(BenderListTest, HotspotInsertsStayCheap) {
@@ -171,10 +171,10 @@ TEST(BenderListTest, HotspotInsertsStayCheap) {
     auto id = list.InsertAfter(pos, 0);
     ASSERT_TRUE(id.ok());
     if (i % 200 == 0) {
-      ASSERT_TRUE(list.CheckInvariants().ok());
+      ASSERT_TRUE(list.Validate().ok());
     }
   }
-  EXPECT_TRUE(list.CheckInvariants().ok());
+  EXPECT_TRUE(list.Validate().ok());
   // Amortized relabels should be polylog, far below n/2 = ~1000.
   EXPECT_LT(list.stats().RelabelsPerInsert(), 100.0);
 }
@@ -187,7 +187,7 @@ TEST(BenderListTest, UniverseGrowsWhenDense) {
     ASSERT_TRUE(list.PushBack(0).ok());
   }
   EXPECT_GT(list.universe_bits(), bits_before);
-  EXPECT_TRUE(list.CheckInvariants().ok());
+  EXPECT_TRUE(list.Validate().ok());
 }
 
 TEST(BenderListTest, EmptyListPushBack) {
@@ -218,7 +218,7 @@ TEST(LTreeStoreTest, WrapsTree) {
   EXPECT_TRUE(m->GetLabel(ids[0]).status().IsNotFound());
   EXPECT_TRUE(m->Erase(ids[0]).IsFailedPrecondition());
   EXPECT_EQ(m->stats().inserts, 1u);
-  EXPECT_TRUE(m->CheckInvariants().ok());
+  EXPECT_TRUE(m->Validate().ok());
 }
 
 TEST(LTreeStoreTest, PurgeSpecKeepsHandlesSafe) {
@@ -238,7 +238,7 @@ TEST(LTreeStoreTest, PurgeSpecKeepsHandlesSafe) {
   // gone.
   EXPECT_TRUE(m->GetLabel(ids[2]).status().IsNotFound());
   EXPECT_TRUE(m->Erase(ids[3]).IsFailedPrecondition());
-  EXPECT_TRUE(m->CheckInvariants().ok());
+  EXPECT_TRUE(m->Validate().ok());
 }
 
 TEST(LTreeStoreTest, BatchInsertIsOneRebalance) {
@@ -259,7 +259,7 @@ TEST(LTreeStoreTest, BatchInsertIsOneRebalance) {
     prev = l;
   }
   EXPECT_LT(prev, *m->GetLabel(ids[4]));
-  EXPECT_TRUE(m->CheckInvariants().ok());
+  EXPECT_TRUE(m->Validate().ok());
 }
 
 TEST(VirtualLTreeStoreTest, TracksLabelsAcrossRelabeling) {
@@ -275,7 +275,7 @@ TEST(VirtualLTreeStoreTest, TracksLabelsAcrossRelabeling) {
   // ids[3] and ids[4] must still be in relative order, with their cookies.
   EXPECT_LT(*m->GetLabel(ids[3]), *m->GetLabel(ids[4]));
   EXPECT_EQ(*m->GetCookie(ids[3]), 3u);
-  EXPECT_TRUE(m->CheckInvariants().ok());
+  EXPECT_TRUE(m->Validate().ok());
 }
 
 TEST(VirtualLTreeStoreTest, BatchMatchesMaterialized) {
@@ -403,7 +403,7 @@ TEST_P(ListenerContractTest, ErasedItemsNeverFireAgain) {
     ASSERT_TRUE(m->InsertAfter(ids[19], 1000 + 2 * i).ok());
     ASSERT_TRUE(m->InsertBefore(ids[36], 1001 + 2 * i).ok());
   }
-  ASSERT_TRUE(m->CheckInvariants().ok()) << m->name();
+  ASSERT_TRUE(m->Validate().ok()) << m->name();
   EXPECT_TRUE(listener.erased.empty()) << m->name();
   for (const LeafCookie cookie : listener.relabeled) {
     ASSERT_FALSE(cookie >= 20 && cookie < 36)
@@ -463,7 +463,7 @@ TEST_P(GoldenSweepTest, UniformStreamStatsMatchSeed) {
     ASSERT_TRUE(h.ok());
     handles.push_back(*h);
   }
-  ASSERT_TRUE(store->CheckInvariants().ok());
+  ASSERT_TRUE(store->Validate().ok());
   const MaintStats st = store->stats();
   EXPECT_EQ(st.items_relabeled, want.items_relabeled) << store->name();
   EXPECT_EQ(st.rebalances, want.rebalances) << store->name();

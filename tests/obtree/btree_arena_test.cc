@@ -65,7 +65,7 @@ TEST(BTreeArenaTest, RandomInsertDeleteScriptConservesNodes) {
   auto check = [&](const char* where, int step) {
     ASSERT_EQ(tree.arena_stats().live(), tree.NodeCount())
         << where << " at step " << step;
-    ASSERT_TRUE(tree.CheckInvariants().ok()) << where << " at step " << step;
+    ASSERT_TRUE(tree.Validate().ok()) << where << " at step " << step;
   };
 
   Rng rng(20260727);
@@ -109,7 +109,7 @@ TEST(BTreeArenaTest, ReplaceRangeRecyclesThroughThePool) {
   std::vector<Entry> replacement;
   for (uint64_t i = 0; i < 200; ++i) replacement.push_back({300 + i, i});
   ASSERT_TRUE(tree.ReplaceRange(256, 768, replacement).ok());
-  ASSERT_TRUE(tree.CheckInvariants().ok());
+  ASSERT_TRUE(tree.Validate().ok());
   EXPECT_EQ(tree.arena_stats().live(), tree.NodeCount());
   // The deletes merged nodes away and the re-inserts recycled them: real
   // release/reuse traffic, with no more than one extra chunk of growth.
@@ -132,7 +132,7 @@ TEST(BTreeArenaTest, ClearThenBulkBuildReusesInsteadOfGrowing) {
   EXPECT_EQ(second.fresh_allocs, first.fresh_allocs);
   EXPECT_GT(second.reused_allocs, first.reused_allocs);
   EXPECT_EQ(second.live(), tree.NodeCount());
-  ASSERT_TRUE(tree.CheckInvariants().ok());
+  ASSERT_TRUE(tree.Validate().ok());
 }
 
 TEST(BTreeArenaTest, MoveTransfersPoolOwnership) {
@@ -144,7 +144,7 @@ TEST(BTreeArenaTest, MoveTransfersPoolOwnership) {
   CountedBTree moved(std::move(tree));
   EXPECT_EQ(moved.arena_stats().live(), live);
   EXPECT_EQ(moved.arena_stats().live(), moved.NodeCount());
-  ASSERT_TRUE(moved.CheckInvariants().ok());
+  ASSERT_TRUE(moved.Validate().ok());
 
   // The moved-from tree is empty with no pool (so the noexcept move never
   // allocates); every accessor stays safe and the tree stays usable.
@@ -158,7 +158,7 @@ TEST(BTreeArenaTest, MoveTransfersPoolOwnership) {
   tree = std::move(moved);
   EXPECT_EQ(tree.arena_stats().live(), live);
   EXPECT_EQ(tree.arena_stats().live(), tree.NodeCount());
-  ASSERT_TRUE(tree.CheckInvariants().ok());
+  ASSERT_TRUE(tree.Validate().ok());
 }
 
 TEST(BTreeArenaTest, ApproxHeapBytesCoversChunksAndBuffers) {

@@ -63,7 +63,7 @@ TEST_P(BTreeFuzzTest, MatchesReferenceModel) {
     }
 
     if (op % 200 == 0) {
-      ASSERT_TRUE(tree.CheckInvariants().ok()) << "op " << op;
+      ASSERT_TRUE(tree.Validate().ok()) << "op " << op;
       ASSERT_EQ(tree.size(), model.size());
       // Order statistics agree with the model.
       const uint64_t probe = rng.Uniform(kKeySpace + 10);
@@ -76,7 +76,7 @@ TEST_P(BTreeFuzzTest, MatchesReferenceModel) {
   }
 
   // Final full comparison.
-  ASSERT_TRUE(tree.CheckInvariants().ok());
+  ASSERT_TRUE(tree.Validate().ok());
   auto entries = tree.ScanAll();
   ASSERT_EQ(entries.size(), model.size());
   size_t i = 0;
@@ -122,7 +122,7 @@ TEST_P(BTreeFuzzTest, ReplaceRangeMatchesModel) {
     model.erase(model.lower_bound(lo), model.lower_bound(hi));
     for (const Entry& e : repl) model[e.key] = e.value;
 
-    ASSERT_TRUE(tree.CheckInvariants().ok()) << "round " << round;
+    ASSERT_TRUE(tree.Validate().ok()) << "round " << round;
     ASSERT_EQ(tree.size(), model.size()) << "round " << round;
   }
   auto entries = tree.ScanAll();

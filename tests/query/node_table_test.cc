@@ -31,7 +31,7 @@ TEST(NodeTableTest, AddFinalizeQuery) {
   EXPECT_TRUE(t.ByTag("zzz").empty());
   EXPECT_EQ(t.AllElements().size(), 3u);
   EXPECT_EQ(t.ChildrenOf(1).size(), 2u);
-  EXPECT_TRUE(t.CheckInvariants().ok());
+  EXPECT_TRUE(t.Validate().ok());
 }
 
 TEST(NodeTableTest, FinalizeRejectsBadRegions) {
@@ -63,7 +63,7 @@ TEST(NodeTableTest, UpdateLabelsInPlace) {
   ASSERT_TRUE(t.UpdateEnd(2, 6).ok());
   EXPECT_EQ((*t.Find(2))->region, (Region{4, 6}));
   // Order-preserving update keeps the index sorted.
-  EXPECT_TRUE(t.CheckInvariants().ok());
+  EXPECT_TRUE(t.Validate().ok());
   EXPECT_TRUE(t.UpdateStart(99, 1).IsNotFound());
 }
 
@@ -79,7 +79,7 @@ TEST(NodeTableTest, InsertAfterFinalizeKeepsOrder) {
   EXPECT_EQ(bs[0]->id, 2u);
   EXPECT_EQ(bs[1]->id, 4u);
   EXPECT_EQ(bs[2]->id, 3u);
-  EXPECT_TRUE(t.CheckInvariants().ok());
+  EXPECT_TRUE(t.Validate().ok());
 }
 
 TEST(NodeTableTest, EraseRemovesFromAllIndexes) {
@@ -103,6 +103,46 @@ TEST(NodeTableTest, TextRowsExcludedFromElementViews) {
   t.Add(text);
   ASSERT_TRUE(t.Finalize().ok());
   EXPECT_EQ(t.AllElements().size(), 1u);
+}
+
+// Negative direction of NodeTable::Validate(). The relabel hooks write
+// labels without checking them (a labeling scheme is trusted to preserve
+// order), so they seed exactly the corruption a misbehaving scheme would.
+
+TEST(NodeTableValidateTest, MalformedRegionIsReported) {
+  NodeTable t;
+  t.Add(Row(1, "a", 0, 9));
+  t.Add(Row(2, "b", 1, 4, 1, 1));
+  t.Add(Row(3, "b", 5, 8, 1, 1));
+  ASSERT_TRUE(t.Finalize().ok());
+  ASSERT_TRUE(t.UpdateEnd(2, 1).ok());  // [1, 1]: start == end
+
+  const audit::Report report = t.Validate();
+  EXPECT_TRUE(report.HasRule("region-shape")) << report.ToString();
+  EXPECT_FALSE(report.HasRule("tag-bucket-order")) << report.ToString();
+  ASSERT_EQ(report.total(), 1u) << report.ToString();
+  EXPECT_EQ(report.violations()[0].path, "table:/b/2");
+
+  ASSERT_TRUE(t.UpdateEnd(2, 4).ok());
+  EXPECT_TRUE(t.Validate().ok());
+}
+
+TEST(NodeTableValidateTest, UnsortedTagBucketIsReported) {
+  NodeTable t;
+  t.Add(Row(1, "a", 0, 9));
+  t.Add(Row(2, "b", 1, 4, 1, 1));
+  t.Add(Row(3, "b", 5, 8, 1, 1));
+  ASSERT_TRUE(t.Finalize().ok());
+  ASSERT_TRUE(t.UpdateStart(3, 0).ok());  // [0, 8] now sorts before row 2
+
+  const audit::Report report = t.Validate();
+  EXPECT_TRUE(report.HasRule("tag-bucket-order")) << report.ToString();
+  EXPECT_FALSE(report.HasRule("region-shape")) << report.ToString();
+  ASSERT_EQ(report.total(), 1u) << report.ToString();
+  EXPECT_EQ(report.violations()[0].path, "table:/b/3");
+
+  ASSERT_TRUE(t.UpdateStart(3, 5).ok());
+  EXPECT_TRUE(t.Validate().ok());
 }
 
 }  // namespace

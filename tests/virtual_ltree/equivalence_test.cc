@@ -94,8 +94,8 @@ TEST_P(EquivalenceTest, RandomSingleInsertsAndDeletes) {
     ASSERT_EQ(mt->AllLabels(), vt->AllLabels()) << "op " << op;
     ASSERT_EQ(mt->height(), vt->height()) << "op " << op;
     if (op % 50 == 0) {
-      ASSERT_TRUE(mt->CheckInvariants().ok()) << "op " << op;
-      ASSERT_TRUE(vt->CheckInvariants().ok()) << "op " << op;
+      ASSERT_TRUE(mt->Validate().ok()) << "op " << op;
+      ASSERT_TRUE(vt->Validate().ok()) << "op " << op;
     }
   }
   // Structural event counts agree for single-insert streams.
@@ -134,8 +134,8 @@ TEST_P(EquivalenceTest, BatchInsertStreams) {
 
     ASSERT_EQ(mt->AllLabels(), vt->AllLabels()) << "round " << round;
     ASSERT_EQ(mt->height(), vt->height()) << "round " << round;
-    ASSERT_TRUE(mt->CheckInvariants().ok()) << "round " << round;
-    ASSERT_TRUE(vt->CheckInvariants().ok()) << "round " << round;
+    ASSERT_TRUE(mt->Validate().ok()) << "round " << round;
+    ASSERT_TRUE(vt->Validate().ok()) << "round " << round;
   }
   // The plan/apply pipeline makes the same coalescing decisions on both
   // representations, so the full structural accounting stays in lockstep
