@@ -7,7 +7,7 @@
 // the wall-clock and allocator sides of the hot path:
 //
 //   * wall_ms        — wall time for the whole insert stream;
-//   * allocs/leaf    — fresh NodeArena allocations per inserted leaf (real
+//   * allocs/leaf    — fresh node-arena allocations per inserted leaf (real
 //                      heap growth; the free-list recycles rebuild
 //                      skeletons, so this stays near 1);
 //   * requests/leaf  — total allocation requests per leaf (fresh + reused;

@@ -2,7 +2,7 @@
 //
 // The concurrent LabelStore read path lets reader threads load leaf labels
 // and cookies while the serialized writer relabels. Making `Node::num` and
-// `Node::cookie` plain `std::atomic` would break the large body of existing
+// `Leaf::cookie` plain `std::atomic` would break the large body of existing
 // single-threaded code (no copy, no implicit conversion); AtomicCell keeps
 // the call sites compiling by converting implicitly on read and assigning
 // on write, while pinning the memory orders of the concurrent contract:

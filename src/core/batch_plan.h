@@ -21,14 +21,14 @@
 
 namespace ltree {
 
-struct Node;
+struct Inner;
 
 /// Outcome of LTree's planning phase for one (possibly single-leaf) batch
 /// splice. Pointers are valid until the next mutation of the tree.
 struct BatchPlan {
   /// Where the fresh leaves go: children [insert_index, insert_index + k)
   /// of `parent`, a height-1 node.
-  Node* parent = nullptr;
+  Inner* parent = nullptr;
   uint32_t insert_index = 0;
   uint64_t batch_size = 0;
 
@@ -39,7 +39,7 @@ struct BatchPlan {
   /// Subtree rebuilt and relabeled in one pass (when !rebuild_root): the
   /// highest budget violator, escalated while replacing it by
   /// `region_pieces` subtrees would overflow its parent's fanout.
-  Node* region = nullptr;
+  Inner* region = nullptr;
   /// Projected leaf count of the region after the splice and (if enabled)
   /// the tombstone purge.
   uint64_t region_leaves = 0;

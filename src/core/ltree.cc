@@ -11,41 +11,53 @@ namespace ltree {
 
 LTree::LTree(const Params& params, PowerTable powers)
     : params_(params), powers_(std::move(powers)) {
-  root_ = arena_.Allocate();
-  root_->height = 1;
-  root_->leaf_count = 0;
-  root_->num = 0;
+  root_ = inner_arena_.Allocate();  // empty: height 1, no children
 }
 
-// Every node lives in arena_ chunks, which free wholesale — no tree walk.
+// Every node lives in arena chunks, which free wholesale — no tree walk.
 LTree::~LTree() = default;
+
+NodeArenaStats LTree::arena_stats() const {
+  const NodeArenaStats& leaf = leaf_arena_.stats();
+  const NodeArenaStats& inner = inner_arena_.stats();
+  return NodeArenaStats{
+      .fresh_allocs = leaf.fresh_allocs + inner.fresh_allocs,
+      .reused_allocs = leaf.reused_allocs + inner.reused_allocs,
+      .releases = leaf.releases + inner.releases,
+      .chunks = leaf.chunks + inner.chunks,
+  };
+}
 
 MaintStats LTree::stats() const {
   MaintStats out = stats_;
-  out.SetArenaTraffic(arena_.stats(), arena_base_);
+  out.SetArenaTraffic(arena_stats(), arena_base_);
   return out;
 }
 
 void LTree::ResetStats() {
   stats_ = MaintStats();
-  arena_base_ = arena_.stats();
+  arena_base_ = arena_stats();
 }
 
 namespace {
 
-uint64_t ChildBufferBytes(const Node* n) {
+uint64_t ChildBufferBytes(const Inner* n) {
   uint64_t bytes = n->children.capacity() * sizeof(Node*);
-  for (const Node* c : n->children) bytes += ChildBufferBytes(c);
+  if (n->height == 1) return bytes;
+  for (const Node* c : n->children) {
+    bytes += ChildBufferBytes(static_cast<const Inner*>(c));
+  }
   return bytes;
 }
 
 }  // namespace
 
 uint64_t LTree::ApproxHeapBytes() const {
-  uint64_t bytes =
-      arena_.stats().chunks * NodeArena::kChunkBytes + ChildBufferBytes(root_);
+  uint64_t bytes = leaf_arena_.stats().chunks * LeafArena::kChunkBytes +
+                   inner_arena_.stats().chunks * InnerArena::kChunkBytes +
+                   ChildBufferBytes(root_);
   // Free-list nodes keep their children buffers for reuse; count them too.
-  arena_.ForEachFree([&bytes](const Node* n) {
+  inner_arena_.ForEachFree([&bytes](const Inner* n) {
     bytes += n->children.capacity() * sizeof(Node*);
   });
   return bytes;
@@ -74,16 +86,16 @@ Status LTree::BulkLoad(std::span<const LeafCookie> cookies,
                   static_cast<unsigned long long>(n), h0,
                   powers_.max_height()));
   }
-  std::vector<Node*> leaves;
+  std::vector<Leaf*> leaves;
   leaves.reserve(n);
   for (LeafCookie c : cookies) {
-    Node* leaf = arena_.Allocate();
+    Leaf* leaf = leaf_arena_.Allocate();
     leaf->cookie = c;
     leaf->num = kInvalidLabel;
     leaves.push_back(leaf);
   }
-  arena_.Release(root_);  // the empty placeholder root
-  root_ = BuildOverLeaves(std::span<Node*>(leaves), h0);
+  inner_arena_.Release(root_);  // the empty placeholder root
+  root_ = static_cast<Inner*>(BuildOverLeaves(std::span<Leaf*>(leaves), h0));
   live_leaves_ = n;
   // Initial label assignment is part of loading, not incremental maintenance.
   Relabel(root_, 0, 0, /*count_stats=*/false);
@@ -98,16 +110,14 @@ Status LTree::BulkLoad(std::span<const LeafCookie> cookies,
 // Tree construction helpers
 // --------------------------------------------------------------------------
 
-Node* LTree::BuildOverLeaves(std::span<Node*> leaves, uint32_t height) {
+Node* LTree::BuildOverLeaves(std::span<Leaf*> leaves, uint32_t height) {
   LTREE_CHECK(!leaves.empty());
   if (height == 0) {
     LTREE_CHECK(leaves.size() == 1);
-    Node* leaf = leaves[0];
-    LTREE_CHECK(leaf->IsLeaf());
-    return leaf;
+    return leaves[0];
   }
   LTREE_CHECK(leaves.size() <= powers_.PowD(height));
-  Node* node = arena_.Allocate();
+  Inner* node = inner_arena_.Allocate();
   node->height = height;
   node->leaf_count = leaves.size();
   const uint64_t seg_cap = powers_.PowD(height - 1);
@@ -127,7 +137,7 @@ Node* LTree::BuildOverLeaves(std::span<Node*> leaves, uint32_t height) {
   return node;
 }
 
-void LTree::BuildPieces(std::span<Node*> leaves, uint64_t pieces,
+void LTree::BuildPieces(std::span<Leaf*> leaves, uint64_t pieces,
                         uint32_t piece_height, std::vector<Node*>* out) {
   LTREE_CHECK(pieces >= 1);
   LTREE_CHECK(leaves.size() >= pieces);
@@ -143,13 +153,16 @@ void LTree::BuildPieces(std::span<Node*> leaves, uint64_t pieces,
   }
 }
 
-void LTree::ReleaseInternalNodes(Node* n) {
-  if (n == nullptr || n->IsLeaf()) return;
-  for (Node* child : n->children) ReleaseInternalNodes(child);
-  arena_.Release(n);
+void LTree::ReleaseInternalNodes(Inner* n) {
+  if (n->height > 1) {
+    for (Node* child : n->children) {
+      ReleaseInternalNodes(static_cast<Inner*>(child));
+    }
+  }
+  inner_arena_.Release(n);
 }
 
-void LTree::FixIndicesFrom(Node* parent, uint32_t from) {
+void LTree::FixIndicesFrom(Inner* parent, uint32_t from) {
   for (uint32_t i = from; i < parent->children.size(); ++i) {
     parent->children[i]->index_in_parent = i;
   }
@@ -184,13 +197,15 @@ namespace {
 uint64_t LiveLeavesUnder(const Node* t) {
   if (t->IsLeaf()) return t->deleted ? 0 : 1;
   uint64_t live = 0;
-  for (const Node* c : t->children) live += LiveLeavesUnder(c);
+  for (const Node* c : static_cast<const Inner*>(t)->children) {
+    live += LiveLeavesUnder(c);
+  }
   return live;
 }
 
 }  // namespace
 
-Status LTree::PlanInsertAt(Node* parent, uint32_t idx, uint64_t k,
+Status LTree::PlanInsertAt(Inner* parent, uint32_t idx, uint64_t k,
                            BatchPlan* out) const {
   LTREE_CHECK(parent != nullptr);
   LTREE_CHECK(parent->height == 1);
@@ -205,8 +220,8 @@ Status LTree::PlanInsertAt(Node* parent, uint32_t idx, uint64_t k,
 
   // Algorithm 1 walk: the highest ancestor whose subtree would exceed its
   // leaf budget after the splice.
-  Node* v = nullptr;
-  for (Node* t = parent; t != nullptr; t = t->parent) {
+  Inner* v = nullptr;
+  for (Inner* t = parent; t != nullptr; t = t->parent) {
     if (t->leaf_count + k >= powers_.LeafBudget(t->height)) v = t;
   }
   if (v == nullptr) return Status::OK();
@@ -237,7 +252,7 @@ Status LTree::PlanInsertAt(Node* parent, uint32_t idx, uint64_t k,
   return Status::OK();
 }
 
-Status LTree::InsertAt(Node* parent, uint32_t idx,
+Status LTree::InsertAt(Inner* parent, uint32_t idx,
                        std::span<const LeafCookie> cookies,
                        std::vector<LeafHandle>* handles, bool is_batch) {
   BatchPlan plan;
@@ -251,14 +266,14 @@ Status LTree::ApplyPlan(const BatchPlan& plan,
   const uint64_t k = cookies.size();
   LTREE_CHECK(k == plan.batch_size);
   if (k == 0) return Status::OK();
-  Node* parent = plan.parent;
+  Inner* parent = plan.parent;
   const uint32_t idx = plan.insert_index;
 
-  std::vector<Node*>& fresh = fresh_scratch_;
+  std::vector<Leaf*>& fresh = fresh_scratch_;
   fresh.clear();
   fresh.reserve(k);
   for (LeafCookie c : cookies) {
-    Node* leaf = arena_.Allocate();
+    Leaf* leaf = leaf_arena_.Allocate();
     leaf->cookie = c;
     leaf->num = kInvalidLabel;
     leaf->parent = parent;
@@ -279,7 +294,7 @@ Status LTree::ApplyPlan(const BatchPlan& plan,
 
   // Bump l(t) for every ancestor (Algorithm 1, lines 4-10; the rebuild
   // decision was already made by the planner).
-  for (Node* t = parent; t != nullptr; t = t->parent) {
+  for (Inner* t = parent; t != nullptr; t = t->parent) {
     t->leaf_count += k;
     ++stats_.ancestor_updates;
   }
@@ -313,13 +328,13 @@ Status LTree::ApplyPlan(const BatchPlan& plan,
 }
 
 void LTree::RebuildRegion(const BatchPlan& plan) {
-  Node* v = plan.region;
+  Inner* v = plan.region;
   LTREE_CHECK(v != nullptr && v != root_);
-  Node* p = v->parent;
+  Inner* p = v->parent;
   const uint32_t j = v->index_in_parent;
   const uint32_t h = v->height;
 
-  std::vector<Node*>& leaves = leaf_scratch_;
+  std::vector<Leaf*>& leaves = leaf_scratch_;
   leaves.clear();
   CollectLeaves(v, &leaves);
   // Release the internal skeleton before purging: MaybePurge recycles
@@ -338,7 +353,7 @@ void LTree::RebuildRegion(const BatchPlan& plan) {
   // the parent's fanout, so no escalation can happen here.
   const uint64_t m = plan.region_pieces;
   std::vector<Node*>& pieces = piece_scratch_;
-  BuildPieces(std::span<Node*>(leaves), m, h, &pieces);
+  BuildPieces(std::span<Leaf*>(leaves), m, h, &pieces);
 
   auto& siblings = p->children;
   siblings.erase(siblings.begin() + j);
@@ -346,7 +361,7 @@ void LTree::RebuildRegion(const BatchPlan& plan) {
   for (Node* piece : pieces) piece->parent = p;
   FixIndicesFrom(p, j);
   if (purged > 0) {
-    for (Node* t = p; t != nullptr; t = t->parent) t->leaf_count -= purged;
+    for (Inner* t = p; t != nullptr; t = t->parent) t->leaf_count -= purged;
   }
   LTREE_CHECK(siblings.size() <= static_cast<size_t>(params_.f) + 1);
   ++stats_.rebalances;
@@ -360,7 +375,7 @@ void LTree::RebuildRegion(const BatchPlan& plan) {
 }
 
 void LTree::RebuildRoot() {
-  std::vector<Node*>& leaves = leaf_scratch_;
+  std::vector<Leaf*>& leaves = leaf_scratch_;
   leaves.clear();
   CollectLeaves(root_, &leaves);
   const uint32_t old_height = root_->height;
@@ -387,11 +402,11 @@ void LTree::RebuildRoot() {
   LTREE_CHECK(new_height >= 1);  // guaranteed by EnsureCapacityFor
 
   const uint64_t m = CeilDiv(l, powers_.PowD(new_height - 1));
-  Node* new_root = arena_.Allocate();
+  Inner* new_root = inner_arena_.Allocate();
   new_root->height = new_height;
   new_root->leaf_count = l;
   std::vector<Node*>& pieces = piece_scratch_;
-  BuildPieces(std::span<Node*>(leaves), m, new_height - 1, &pieces);
+  BuildPieces(std::span<Leaf*>(leaves), m, new_height - 1, &pieces);
   // assign (not move): piece_scratch_ keeps its buffer for the next rebuild.
   new_root->children.assign(pieces.begin(), pieces.end());
   for (uint32_t i = 0; i < new_root->children.size(); ++i) {
@@ -405,11 +420,11 @@ void LTree::RebuildRoot() {
   ++stats_.relabel_passes;
 }
 
-uint64_t LTree::MaybePurge(std::vector<Node*>* leaves) {
+uint64_t LTree::MaybePurge(std::vector<Leaf*>* leaves) {
   if (!params_.purge_tombstones_on_split) return 0;
-  std::vector<Node*>& v = *leaves;
+  std::vector<Leaf*>& v = *leaves;
   uint64_t live = 0;
-  for (Node* leaf : v) {
+  for (Leaf* leaf : v) {
     if (!leaf->deleted) ++live;
   }
   if (live == v.size()) return 0;
@@ -420,7 +435,7 @@ uint64_t LTree::MaybePurge(std::vector<Node*>* leaves) {
     for (size_t i = 1; i < v.size(); ++i) RetireLeaf(v[i]);
     w = 1;
   } else {
-    for (Node* leaf : v) {
+    for (Leaf* leaf : v) {
       if (leaf->deleted) {
         RetireLeaf(leaf);
       } else {
@@ -434,45 +449,52 @@ uint64_t LTree::MaybePurge(std::vector<Node*>* leaves) {
   return purged;
 }
 
-void LTree::RetireLeaf(Node* leaf) {
+void LTree::RetireLeaf(Leaf* leaf) {
   if (epoch_ == nullptr) {
-    arena_.Release(leaf);
+    leaf_arena_.Release(leaf);
     return;
   }
   epoch_->Retire(
       leaf,
       [](void* obj, void* ctx) {
-        static_cast<NodeArena*>(ctx)->Release(static_cast<Node*>(obj));
+        static_cast<LeafArena*>(ctx)->Release(static_cast<Leaf*>(obj));
       },
-      &arena_);
+      &leaf_arena_);
 }
 
 // --------------------------------------------------------------------------
 // Relabeling (Algorithm 1, function Relabel)
 // --------------------------------------------------------------------------
 
-void LTree::Relabel(Node* t, Label num, uint32_t from_child,
+void LTree::Relabel(Inner* t, Label num, uint32_t from_child,
                     bool count_stats) {
   if (count_stats) ++stats_.nodes_relabeled;
-  if (t->IsLeaf()) {
-    if (t->num != num) {
-      if (t->num != kInvalidLabel) {
-        // A tombstone's slot move is paid for (the paper's relabel cost)
-        // but nobody outside the tree can observe it.
-        if (count_stats) ++stats_.items_relabeled;
-        if (listener_ != nullptr && !t->deleted) {
-          listener_->OnRelabel(t->cookie, t->num, num);
-        }
-      }
-      t->num = num;
+  t->num = num;
+  const uint32_t n = static_cast<uint32_t>(t->children.size());
+  if (t->height > 1) {
+    const uint64_t step = powers_.PowF1(t->height - 1);
+    for (uint32_t i = from_child; i < n; ++i) {
+      Relabel(static_cast<Inner*>(t->children[i]), num + i * step, 0,
+              count_stats);
     }
     return;
   }
-  t->num = num;
-  for (uint32_t i = from_child; i < t->children.size(); ++i) {
-    Node* w = t->children[i];
-    Relabel(w, num + static_cast<uint64_t>(i) * powers_.PowF1(w->height), 0,
-            count_stats);
+  // Leaf level: num(leaf i) = num(t) + i * (f+1)^0.
+  if (count_stats) stats_.nodes_relabeled += n - std::min(from_child, n);
+  for (uint32_t i = from_child; i < n; ++i) {
+    Leaf* leaf = static_cast<Leaf*>(t->children[i]);
+    const Label old = leaf->num;
+    const Label want = num + i;
+    if (old == want) continue;
+    if (old != kInvalidLabel) {
+      // A tombstone's slot move is paid for (the paper's relabel cost) but
+      // nobody outside the tree can observe it.
+      if (count_stats) ++stats_.items_relabeled;
+      if (listener_ != nullptr && !leaf->deleted) {
+        listener_->OnRelabel(leaf->cookie, old, want);
+      }
+    }
+    leaf->num = want;
   }
 }
 
@@ -503,7 +525,7 @@ Result<LTree::LeafHandle> LTree::InsertBefore(LeafHandle pos,
 }
 
 Result<LTree::LeafHandle> LTree::PushBack(LeafCookie cookie) {
-  Node* last = RightmostLeaf(root_);
+  Leaf* last = RightmostLeaf(root_);
   if (last == nullptr) {
     std::vector<LeafHandle> out;
     const LeafCookie cookies[1] = {cookie};
@@ -515,7 +537,7 @@ Result<LTree::LeafHandle> LTree::PushBack(LeafCookie cookie) {
 }
 
 Result<LTree::LeafHandle> LTree::PushFront(LeafCookie cookie) {
-  Node* first = LeftmostLeaf(root_);
+  Leaf* first = LeftmostLeaf(root_);
   if (first == nullptr) return PushBack(cookie);
   return InsertBefore(first, cookie);
 }
@@ -558,7 +580,7 @@ Status LTree::InsertBatchBefore(LeafHandle pos,
 
 Status LTree::PushBackBatch(std::span<const LeafCookie> cookies,
                             std::vector<LeafHandle>* handles) {
-  Node* last = RightmostLeaf(root_);
+  Leaf* last = RightmostLeaf(root_);
   if (last == nullptr) {
     return InsertAt(root_, 0, cookies, handles, /*is_batch=*/true);
   }
@@ -588,31 +610,32 @@ LTree::LeafHandle LTree::NextLeaf(LeafHandle leaf) const {
 }
 
 LTree::LeafHandle LTree::FirstLiveLeaf() const {
-  Node* leaf = LeftmostLeaf(root_);
+  Leaf* leaf = LeftmostLeaf(root_);
   while (leaf != nullptr && leaf->deleted) leaf = ltree::NextLeaf(leaf);
   return leaf;
 }
 
 LTree::LeafHandle LTree::NextLiveLeaf(LeafHandle leaf) const {
-  Node* cur = ltree::NextLeaf(leaf);
+  Leaf* cur = ltree::NextLeaf(leaf);
   while (cur != nullptr && cur->deleted) cur = ltree::NextLeaf(cur);
   return cur;
 }
 
 LTree::LeafHandle LTree::FindLeafByLabel(Label label) const {
-  Node* t = root_;
-  if (t == nullptr || t->leaf_count == 0) return nullptr;
+  if (root_ == nullptr || root_->leaf_count == 0) return nullptr;
   // num(child i of t) = num(t) + i * (f+1)^(h(t)-1), so the owning child
   // index is pure arithmetic — no key comparisons, no search.
-  while (!t->IsLeaf()) {
+  Node* cur = root_;
+  while (!cur->IsLeaf()) {
+    const Inner* t = static_cast<const Inner*>(cur);
     const Label base = t->num.load();
     if (label < base) return nullptr;
     const uint64_t span = powers_.PowF1(t->height - 1);
     const uint64_t idx = (label - base) / span;
     if (idx >= t->children.size()) return nullptr;
-    t = t->children[idx];
+    cur = t->children[idx];
   }
-  return t->num.load() == label ? t : nullptr;
+  return cur->num.load() == label ? static_cast<Leaf*>(cur) : nullptr;
 }
 
 uint64_t LTree::num_slots() const { return root_->leaf_count; }
@@ -626,14 +649,14 @@ uint32_t LTree::label_bits() const {
 }
 
 Label LTree::max_label() const {
-  Node* last = RightmostLeaf(root_);
+  const Leaf* last = RightmostLeaf(root_);
   return last == nullptr ? Label{0} : last->num.load();
 }
 
 std::vector<Label> LTree::LiveLabels() const {
   std::vector<Label> out;
   out.reserve(live_leaves_);
-  for (Node* leaf = LeftmostLeaf(root_); leaf != nullptr;
+  for (Leaf* leaf = LeftmostLeaf(root_); leaf != nullptr;
        leaf = ltree::NextLeaf(leaf)) {
     if (!leaf->deleted) out.push_back(leaf->num);
   }
@@ -643,7 +666,7 @@ std::vector<Label> LTree::LiveLabels() const {
 std::vector<Label> LTree::AllLabels() const {
   std::vector<Label> out;
   out.reserve(root_->leaf_count);
-  for (Node* leaf = LeftmostLeaf(root_); leaf != nullptr;
+  for (Leaf* leaf = LeftmostLeaf(root_); leaf != nullptr;
        leaf = ltree::NextLeaf(leaf)) {
     out.push_back(leaf->num);
   }
@@ -655,19 +678,21 @@ namespace {
 void DumpNode(const Node* node, int depth, bool show_internal,
               std::ostringstream* os) {
   if (node->IsLeaf()) {
+    const Leaf* leaf = static_cast<const Leaf*>(node);
     for (int i = 0; i < depth; ++i) *os << "  ";
-    *os << "leaf num=" << node->num << " cookie=" << node->cookie;
-    if (node->deleted) *os << " [deleted]";
+    *os << "leaf num=" << leaf->num << " cookie=" << leaf->cookie;
+    if (leaf->deleted) *os << " [deleted]";
     *os << "\n";
     return;
   }
+  const Inner* inner = static_cast<const Inner*>(node);
   if (show_internal) {
     for (int i = 0; i < depth; ++i) *os << "  ";
-    *os << "node h=" << node->height << " num=" << node->num
-        << " l=" << node->leaf_count << " c=" << node->children.size()
+    *os << "node h=" << inner->height << " num=" << inner->num
+        << " l=" << inner->leaf_count << " c=" << inner->children.size()
         << "\n";
   }
-  for (const Node* child : node->children) {
+  for (const Node* child : inner->children) {
     DumpNode(child, depth + 1, show_internal, os);
   }
 }

@@ -45,7 +45,7 @@ class LTree {
   /// Opaque, stable reference to a leaf. Handles survive splits and
   /// relabelings; they are invalidated only by tombstone purging (if enabled)
   /// and by destroying the tree.
-  using LeafHandle = Node*;
+  using LeafHandle = Leaf*;
 
   /// Creates an empty L-Tree. Fails if params are invalid.
   static Result<std::unique_ptr<LTree>> Create(const Params& params);
@@ -158,14 +158,15 @@ class LTree {
   /// Restarts the stats window (node accesses and allocator traffic).
   void ResetStats();
 
-  /// Lifetime arena counters (monotonic; never reset). arena_stats().live()
-  /// equals the number of nodes currently reachable from the root, which
-  /// the conservation tests assert.
-  const NodeArenaStats& arena_stats() const { return arena_.stats(); }
+  /// Lifetime arena counters, summed over the leaf and inner-node arenas
+  /// (monotonic; never reset). arena_stats().live() equals the number of
+  /// nodes currently reachable from the root plus any epoch-pending leaves,
+  /// which the conservation tests assert.
+  NodeArenaStats arena_stats() const;
 
-  /// Measured heap footprint: arena chunks (sizeof(Node) per slot, live or
-  /// free) plus every reachable node's children buffer — the materialized
-  /// side of the Section 4.2 space bench, mirroring
+  /// Measured heap footprint: both arenas' chunks (one slot stride per
+  /// node, live or free) plus every inner node's children buffer — the
+  /// materialized side of the Section 4.2 space bench, mirroring
   /// CountedBTree::ApproxHeapBytes so the comparison shares one policy.
   uint64_t ApproxHeapBytes() const;
 
@@ -178,7 +179,7 @@ class LTree {
   /// observes a recycled node. Internal skeleton nodes are still released
   /// immediately — readers hold only leaf handles, never internal pointers.
   /// The manager must outlive the tree, and the owner must drain it
-  /// (ReclaimAllUnsafe) before the tree's arena dies.
+  /// (ReclaimAllUnsafe) before the tree's arenas die.
   void set_epoch(epoch::EpochManager* epoch) { epoch_ = epoch; }
   epoch::EpochManager* epoch() const { return epoch_; }
 
@@ -188,14 +189,15 @@ class LTree {
   std::vector<Label> AllLabels() const;
 
   /// Root node, exposed for the invariant checker / tests / debug dumper.
-  const Node* root() const { return root_; }
+  const Inner* root() const { return root_; }
 
   /// Deep validator (core/validate.cc): Proposition 2 structure (uniform
   /// leaf depth, fanout <= f+1, leaf budgets l(t) < lmax(t)), parent/child
   /// link symmetry, the label identity
   /// num(w) = num(parent) + index(w) * (f+1)^{h(w)} (hence Proposition 1
   /// strict label monotonicity across leaves), tombstone accounting against
-  /// num_live_leaves(), and arena conservation (live() == reachable nodes).
+  /// num_live_leaves(), and arena conservation per node type (each arena's
+  /// live() == its reachable nodes, plus epoch-pending leaves).
   /// Reports every violation with an "ltree:"-prefixed node path.
   audit::Report Validate() const;
 
@@ -203,18 +205,20 @@ class LTree {
   std::string DebugString(bool show_internal = true) const;
 
  private:
+  friend class LTreeTestPeer;  // arena access for negative and heap tests
+
   explicit LTree(const Params& params, PowerTable powers);
 
   /// Plan + apply: inserts `cookies` as children of `parent` (height-1
   /// node) starting at child index `idx`.
-  Status InsertAt(Node* parent, uint32_t idx,
+  Status InsertAt(Inner* parent, uint32_t idx,
                   std::span<const LeafCookie> cookies,
                   std::vector<LeafHandle>* handles, bool is_batch);
 
   /// Planning phase (Algorithm 1 walk + escalation coalescing); mutates
   /// nothing. `idx` is unused by the decision but recorded in the plan.
   /// Out-param form so the per-insert hot path pays no Result packaging.
-  Status PlanInsertAt(Node* parent, uint32_t idx, uint64_t k,
+  Status PlanInsertAt(Inner* parent, uint32_t idx, uint64_t k,
                       BatchPlan* plan) const;
 
   /// Apply phase: splices the fresh leaves per `plan`, then rebuilds and
@@ -235,38 +239,42 @@ class LTree {
   void RebuildRoot();
 
   /// Builds a (f/s)-ary tree of exactly `height` over `leaves` (reusing the
-  /// leaf nodes). leaves.size() must be in [1, d^height].
-  Node* BuildOverLeaves(std::span<Node*> leaves, uint32_t height);
+  /// leaf nodes). leaves.size() must be in [1, d^height]. Height 0 returns
+  /// the single leaf itself.
+  Node* BuildOverLeaves(std::span<Leaf*> leaves, uint32_t height);
 
   /// Splits `leaves` into `pieces` even segments and builds one subtree of
   /// height `piece_height` per segment, written into `*out` (cleared
   /// first; rebuilds pass the reusable piece_scratch_).
-  void BuildPieces(std::span<Node*> leaves, uint64_t pieces,
+  void BuildPieces(std::span<Leaf*> leaves, uint64_t pieces,
                    uint32_t piece_height, std::vector<Node*>* out);
 
   /// Paper's Relabel(t, num, from): assigns num(t) and recursively relabels
-  /// children starting at `from_child`.
-  void Relabel(Node* t, Label num, uint32_t from_child, bool count_stats);
+  /// children starting at `from_child`. A height-1 node relabels its leaves
+  /// in one flat loop (num(leaf i) = num(t) + i).
+  void Relabel(Inner* t, Label num, uint32_t from_child, bool count_stats);
 
   /// Compacts tombstoned leaves out of `leaves` in place (if purging is
   /// enabled), releasing the nodes to the arena and reporting how many were
   /// dropped. Always keeps at least one leaf so subtrees never become empty.
-  uint64_t MaybePurge(std::vector<Node*>* leaves);
+  uint64_t MaybePurge(std::vector<Leaf*>* leaves);
 
-  /// Releases the internal nodes of the subtree rooted at `n` to the arena,
+  /// Releases the inner nodes of the subtree rooted at `n` to their arena,
   /// leaving leaf nodes alive (they are reused by rebuilds).
-  void ReleaseInternalNodes(Node* n);
+  void ReleaseInternalNodes(Inner* n);
 
   /// Frees a purged leaf: epoch-retired when a manager is attached (readers
   /// may still hold the handle), released to the arena otherwise.
-  void RetireLeaf(Node* leaf);
+  void RetireLeaf(Leaf* leaf);
 
-  static void FixIndicesFrom(Node* parent, uint32_t from);
+  static void FixIndicesFrom(Inner* parent, uint32_t from);
 
   Params params_;
   PowerTable powers_;
-  NodeArena arena_;  ///< owns every node; must outlive root_
-  Node* root_ = nullptr;
+  // The arenas own every node and must outlive root_.
+  LeafArena leaf_arena_;
+  InnerArena inner_arena_;
+  Inner* root_ = nullptr;
   uint64_t live_leaves_ = 0;
   MaintStats stats_;
   NodeArenaStats arena_base_;  ///< arena snapshot at last ResetStats()
@@ -276,9 +284,9 @@ class LTree {
   // Scratch buffers reused across rebuilds so RebuildAt/RebuildRoot (and
   // the escalation loop) stop re-allocating their leaf and piece vectors on
   // every split. Only valid within one rebuild step at a time.
-  std::vector<Node*> leaf_scratch_;
+  std::vector<Leaf*> leaf_scratch_;
   std::vector<Node*> piece_scratch_;
-  std::vector<Node*> fresh_scratch_;  ///< InsertAt's new-leaf buffer
+  std::vector<Leaf*> fresh_scratch_;  ///< InsertAt's new-leaf buffer
 };
 
 }  // namespace ltree

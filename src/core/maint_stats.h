@@ -45,7 +45,7 @@ struct MaintStats {
 
   // ---- allocator traffic ----
   // Arena deltas since the last ResetStats(), filled into the copy stats()
-  // returns by schemes with pooled node storage (the L-Tree's NodeArena,
+  // returns by schemes with pooled node storage (the L-Tree's node arenas,
   // the virtual tree's B+-tree pool); zero for schemes without one.
   uint64_t nodes_allocated = 0;  ///< fresh pool allocations (heap growth)
   uint64_t nodes_reused = 0;     ///< allocations served by recycling

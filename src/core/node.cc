@@ -3,26 +3,29 @@
 namespace ltree {
 
 // Note: there is deliberately no free function that deletes core nodes —
-// every Node is owned by its tree's NodeArena (core/node_arena.h), which
-// recycles individual nodes and frees its chunks wholesale on destruction.
+// every Leaf and Inner is owned by one of its tree's arenas
+// (core/node_arena.h), which recycle individual nodes and free their chunks
+// wholesale on destruction.
 
-Node* LeftmostLeaf(Node* node) {
+Leaf* LeftmostLeaf(Node* node) {
   while (node != nullptr && !node->IsLeaf()) {
-    if (node->children.empty()) return nullptr;
-    node = node->children.front();
+    const auto& children = static_cast<Inner*>(node)->children;
+    if (children.empty()) return nullptr;
+    node = children.front();
   }
-  return node;
+  return static_cast<Leaf*>(node);
 }
 
-Node* RightmostLeaf(Node* node) {
+Leaf* RightmostLeaf(Node* node) {
   while (node != nullptr && !node->IsLeaf()) {
-    if (node->children.empty()) return nullptr;
-    node = node->children.back();
+    const auto& children = static_cast<Inner*>(node)->children;
+    if (children.empty()) return nullptr;
+    node = children.back();
   }
-  return node;
+  return static_cast<Leaf*>(node);
 }
 
-Node* NextLeaf(Node* leaf) {
+Leaf* NextLeaf(Leaf* leaf) {
   Node* cur = leaf;
   // Climb until cur has a right sibling.
   while (cur->parent != nullptr &&
@@ -34,23 +37,15 @@ Node* NextLeaf(Node* leaf) {
   return LeftmostLeaf(sib);
 }
 
-Node* PrevLeaf(Node* leaf) {
-  Node* cur = leaf;
-  while (cur->parent != nullptr && cur->index_in_parent == 0) {
-    cur = cur->parent;
-  }
-  if (cur->parent == nullptr) return nullptr;
-  Node* sib = cur->parent->children[cur->index_in_parent - 1];
-  return RightmostLeaf(sib);
-}
-
-void CollectLeaves(Node* node, std::vector<Node*>* out) {
+void CollectLeaves(Node* node, std::vector<Leaf*>* out) {
   if (node == nullptr) return;
   if (node->IsLeaf()) {
-    out->push_back(node);
+    out->push_back(static_cast<Leaf*>(node));
     return;
   }
-  for (Node* child : node->children) CollectLeaves(child, out);
+  for (Node* child : static_cast<Inner*>(node)->children) {
+    CollectLeaves(child, out);
+  }
 }
 
 }  // namespace ltree

@@ -1,10 +1,10 @@
 // Generic chunked pool allocator with intrusive free-list recycling.
 //
-// PR 3 introduced this design for the materialized L-Tree's nodes
-// (core/NodeArena); the counted B+-tree behind the virtual L-Tree pays the
-// same allocator tax on its hot paths (splits, merges, root collapse,
-// BulkBuild on every virtual root split), so the mechanism is generalized
-// here into a template both trees instantiate:
+// The materialized L-Tree (one arena for leaves, one for inner nodes; see
+// core/node_arena.h) and the counted B+-tree behind the virtual L-Tree pay
+// the same allocator tax on their hot paths (splits, merges, root collapse,
+// BulkBuild on every virtual root split), so the mechanism is one template
+// both trees instantiate:
 //
 //  * nodes are carved from fixed-size chunks, so a fresh allocation is a
 //    bump of a chunk cursor (and chunk-local nodes are address-contiguous,
@@ -34,6 +34,7 @@
 #ifndef LTREE_CORE_POOL_ARENA_H_
 #define LTREE_CORE_POOL_ARENA_H_
 
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <new>
@@ -65,13 +66,16 @@ class PoolArena {
   /// without pinning megabytes for a tiny tree.
   static constexpr size_t kChunkNodes = 256;
 
-  /// Every slot starts on a cache line: a node is never split across (or
-  /// shares a line's false-sharing tail with) its neighbor, which the
-  /// concurrent read mode and the planned SIMD node-scan layout both rely
-  /// on. Slots are padded to the next 64-byte multiple.
-  static constexpr size_t kSlotAlign = 64;
+  /// No slot ever straddles a cache line, which the concurrent read mode
+  /// (a reader's label load touches one line) and the planned SIMD
+  /// node-scan layout both rely on. Chunks start on a line; a node of at
+  /// most a line gets the next power-of-two stride (so 2, 4, ... slots tile
+  /// each line exactly), a larger one a whole number of lines.
+  static constexpr size_t kLineBytes = 64;
   static constexpr size_t kSlotStride =
-      (sizeof(NodeT) + kSlotAlign - 1) / kSlotAlign * kSlotAlign;
+      sizeof(NodeT) <= kLineBytes
+          ? std::bit_ceil(sizeof(NodeT))
+          : (sizeof(NodeT) + kLineBytes - 1) / kLineBytes * kLineBytes;
 
   /// Heap bytes per chunk (for ApproxHeapBytes accounting in the trees).
   static constexpr size_t kChunkBytes = kChunkNodes * kSlotStride;
@@ -126,19 +130,19 @@ class PoolArena {
   }
 
  private:
-  /// One over-aligned slab of kChunkNodes cache-line-aligned slots. Slots
+  /// One line-aligned slab of kChunkNodes slots (see kSlotStride). Slots
   /// are constructed up front and destroyed with the chunk, so teardown
   /// still never walks the tree structure.
   class Chunk {
    public:
     Chunk()
         : raw_(static_cast<unsigned char*>(::operator new(
-              kChunkBytes, std::align_val_t{kSlotAlign}))) {
+              kChunkBytes, std::align_val_t{kLineBytes}))) {
       for (size_t i = 0; i < kChunkNodes; ++i) new (slot(i)) NodeT();
     }
     ~Chunk() {
       for (size_t i = 0; i < kChunkNodes; ++i) slot(i)->~NodeT();
-      ::operator delete(raw_, std::align_val_t{kSlotAlign});
+      ::operator delete(raw_, std::align_val_t{kLineBytes});
     }
     Chunk(const Chunk&) = delete;
     Chunk& operator=(const Chunk&) = delete;

@@ -90,17 +90,21 @@ struct LTreeAuditContext {
   const Params* params;
   const PowerTable* powers;
   Report* report;
-  uint64_t leaf_slots = 0;
+  uint64_t leaf_slots = 0;  ///< reachable leaves, tombstones included
   uint64_t live = 0;
-  uint64_t reachable_nodes = 0;
+  uint64_t reachable_inner = 0;
   Label prev_label = 0;
   bool saw_leaf = false;
 };
 
-void AuditNode(const Node* node, const Node* expected_parent,
+/// l(t) of any node: 1 for a leaf.
+uint64_t LeafCount(const Node* node) {
+  return node->IsLeaf() ? 1 : static_cast<const Inner*>(node)->leaf_count;
+}
+
+void AuditNode(const Node* node, const Inner* expected_parent,
                uint32_t expected_index, Label expected_num,
                const std::string& path, LTreeAuditContext* ctx) {
-  ++ctx->reachable_nodes;
   if (node->parent != expected_parent) {
     ctx->report->Add(path, "parent-link",
                      "parent pointer does not point at the actual parent");
@@ -120,17 +124,6 @@ void AuditNode(const Node* node, const Node* expected_parent,
                   node->height));
   }
   if (node->IsLeaf()) {
-    if (!node->children.empty()) {
-      ctx->report->Add(path, "leaf-childless",
-                       StrFormat("leaf has %zu children",
-                                 node->children.size()));
-    }
-    if (node->leaf_count != 1) {
-      ctx->report->Add(
-          path, "leaf-count-unit",
-          StrFormat("leaf has leaf_count %llu, want 1",
-                    static_cast<unsigned long long>(node->leaf_count)));
-    }
     // Proposition 1: labels strictly increase in document order.
     if (ctx->saw_leaf && node->num <= ctx->prev_label) {
       ctx->report->Add(
@@ -146,58 +139,61 @@ void AuditNode(const Node* node, const Node* expected_parent,
     return;
   }
 
-  if (node->children.empty()) {
+  const Inner* inner = static_cast<const Inner*>(node);
+  ++ctx->reachable_inner;
+  if (inner->children.empty()) {
     ctx->report->Add(path, "internal-childless",
                      "internal node with no children");
     return;
   }
   // Fanout: at most f+1 children fit the (f+1)-ary label space (f steady
   // state, f+1 transiently).
-  if (node->children.size() > static_cast<size_t>(ctx->params->f) + 1) {
+  if (inner->children.size() > static_cast<size_t>(ctx->params->f) + 1) {
     ctx->report->Add(path, "fanout",
                      StrFormat("fanout %zu exceeds f+1=%u at height %u",
-                               node->children.size(), ctx->params->f + 1,
-                               node->height));
+                               inner->children.size(), ctx->params->f + 1,
+                               inner->height));
   }
   // Proposition 2(1) upper bound: l(t) < lmax(t) after every operation.
-  if (node->leaf_count >= ctx->powers->LeafBudget(node->height)) {
+  if (inner->leaf_count >= ctx->powers->LeafBudget(inner->height)) {
     ctx->report->Add(
         path, "leaf-budget",
         StrFormat("leaf_count %llu at height %u reaches budget %llu",
-                  static_cast<unsigned long long>(node->leaf_count),
-                  node->height,
+                  static_cast<unsigned long long>(inner->leaf_count),
+                  inner->height,
                   static_cast<unsigned long long>(
-                      ctx->powers->LeafBudget(node->height))));
+                      ctx->powers->LeafBudget(inner->height))));
   }
   uint64_t child_leaves = 0;
-  for (uint32_t i = 0; i < node->children.size(); ++i) {
-    const Node* child = node->children[i];
+  for (uint32_t i = 0; i < inner->children.size(); ++i) {
+    const Node* child = inner->children[i];
     const std::string child_path = (path.back() == '/' ? path : path + "/") +
                                    std::to_string(i);
     if (child == nullptr) {
       ctx->report->Add(child_path, "null-child", "null child pointer");
       continue;
     }
-    if (child->height + 1 != node->height) {
+    if (child->height + 1 != inner->height) {
+      // The height is what says whether the child is a Leaf or an Inner,
+      // so a subtree under a wrong height cannot be walked safely.
       ctx->report->Add(child_path, "height-step",
                        StrFormat("height-%u child under height-%u node",
-                                 child->height, node->height));
-      // The label identity below would cascade nonsense; still recurse so
-      // deeper violations surface.
+                                 child->height, inner->height));
+      continue;
     }
     const Label child_num =
-        node->num +
+        inner->num +
         static_cast<uint64_t>(i) * ctx->powers->PowF1(child->height);
-    AuditNode(child, node, i, child_num, child_path, ctx);
-    child_leaves += child->leaf_count;
+    AuditNode(child, inner, i, child_num, child_path, ctx);
+    child_leaves += LeafCount(child);
   }
-  if (child_leaves != node->leaf_count) {
+  if (child_leaves != inner->leaf_count) {
     ctx->report->Add(
         path, "leaf-count-sum",
         StrFormat("leaf_count %llu != sum of children %llu at height %u",
-                  static_cast<unsigned long long>(node->leaf_count),
+                  static_cast<unsigned long long>(inner->leaf_count),
                   static_cast<unsigned long long>(child_leaves),
-                  node->height));
+                  inner->height));
   }
 }
 
@@ -207,14 +203,17 @@ void CollectReachable(const Node* node,
                       std::unordered_set<const void*>* out) {
   if (node == nullptr) return;
   out->insert(node);
-  for (const Node* child : node->children) CollectReachable(child, out);
+  if (node->IsLeaf()) return;
+  for (const Node* child : static_cast<const Inner*>(node)->children) {
+    CollectReachable(child, out);
+  }
 }
 
 }  // namespace
 
 audit::Report LTree::Validate() const {
   Report report;
-  const Node* root = root_;
+  const Inner* root = root_;
   if (root == nullptr) {
     report.Add("ltree:/", "root-null", "null root");
     return report;
@@ -274,18 +273,28 @@ audit::Report LTree::Validate() const {
       }
     }
   }
-  // Arena conservation: every node the pool considers live must be
-  // reachable from the root or sitting in an epoch bucket awaiting
-  // reclamation, and vice versa.
+  // Arena conservation, per node type: every leaf the leaf arena considers
+  // live must be reachable from the root or sitting in an epoch bucket
+  // awaiting reclamation (only purged leaves are retired), every live inner
+  // node must be reachable, and vice versa.
   const uint64_t pending = epoch_ != nullptr ? epoch_->pending() : 0;
-  if (ctx.reachable_nodes + pending != arena_stats().live()) {
+  if (ctx.leaf_slots + pending != leaf_arena_.stats().live()) {
     report.Add(
         "ltree:/", "arena-conservation",
-        StrFormat("%llu nodes reachable + %llu epoch-pending but the arena "
-                  "accounts %llu live",
-                  static_cast<unsigned long long>(ctx.reachable_nodes),
+        StrFormat("%llu leaves reachable + %llu epoch-pending but the leaf "
+                  "arena accounts %llu live",
+                  static_cast<unsigned long long>(ctx.leaf_slots),
                   static_cast<unsigned long long>(pending),
-                  static_cast<unsigned long long>(arena_stats().live())));
+                  static_cast<unsigned long long>(leaf_arena_.stats().live())));
+  }
+  if (ctx.reachable_inner != inner_arena_.stats().live()) {
+    report.Add(
+        "ltree:/", "arena-conservation",
+        StrFormat("%llu inner nodes reachable but the inner arena accounts "
+                  "%llu live",
+                  static_cast<unsigned long long>(ctx.reachable_inner),
+                  static_cast<unsigned long long>(
+                      inner_arena_.stats().live())));
   }
   // Epoch reclamation: retired ∪ reachable must partition the live nodes —
   // no retired node may still be reachable from the root (use-after-

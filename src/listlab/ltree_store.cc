@@ -181,7 +181,7 @@ audit::Report LTreeStore::Validate() const {
   // Handle map vs. the tree: collect the live leaves by traversal, then
   // check the non-erased handles map onto them one-to-one. An erased
   // slot's pointer must never be dereferenced — a purge may have freed it.
-  std::unordered_map<const Node*, uint64_t> live_leaf_count;
+  std::unordered_map<const Leaf*, uint64_t> live_leaf_count;
   for (LTree::LeafHandle leaf = tree_->FirstLiveLeaf(); leaf != nullptr;
        leaf = tree_->NextLiveLeaf(leaf)) {
     ++live_leaf_count[leaf];

@@ -99,11 +99,11 @@ class LTreeStore : public LabelStore, private RelabelListener {
   ItemHandle Register(LTree::LeafHandle handle,
                       std::vector<ItemHandle>* handles);
 
-  /// Low bit of a slot word. Leaf nodes are PoolArena::kSlotAlign (64)
-  /// byte aligned, so the pointer's low bit is free for the erased flag;
-  /// one atomic word keeps pointer and flag consistent for readers. An
-  /// erased slot's pointer must never be dereferenced — a purge may have
-  /// freed the leaf it names.
+  /// Low bit of a slot word. Leaves sit on 32-byte slot boundaries
+  /// (LeafArena::kSlotStride), so the pointer's low bit is free for the
+  /// erased flag; one atomic word keeps pointer and flag consistent for
+  /// readers. An erased slot's pointer must never be dereferenced — a purge
+  /// may have freed the leaf it names.
   static constexpr uintptr_t kErasedBit = 1;
 
   std::unique_ptr<LTree> tree_;

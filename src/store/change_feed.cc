@@ -20,10 +20,20 @@ const char* FeedEventKindName(FeedEvent::Kind kind) {
 }
 
 std::string FeedEvent::ToString() const {
-  std::string out = "#" + std::to_string(seq) + " " + FeedEventKindName(kind) +
-                    " cookie=" + std::to_string(cookie);
-  if (old_label != kInvalidLabel) out += " old=" + std::to_string(old_label);
-  if (new_label != kInvalidLabel) out += " new=" + std::to_string(new_label);
+  std::string out = "#";
+  out += std::to_string(seq);
+  out += ' ';
+  out += FeedEventKindName(kind);
+  out += " cookie=";
+  out += std::to_string(cookie);
+  if (old_label != kInvalidLabel) {
+    out += " old=";
+    out += std::to_string(old_label);
+  }
+  if (new_label != kInvalidLabel) {
+    out += " new=";
+    out += std::to_string(new_label);
+  }
   return out;
 }
 

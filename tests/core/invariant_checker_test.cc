@@ -1,16 +1,29 @@
 // Negative tests: LTree::Validate() must actually detect corruption, and
-// name the broken rule. Node is exposed in core/node.h precisely so these
-// tests can seed faults.
+// name the broken rule. Leaf and Inner are exposed in core/node.h precisely
+// so these tests can seed faults.
 
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "common/macros.h"
 #include "core/ltree.h"
 
 namespace ltree {
+
+/// Reaches the tree's inner-node arena to leak a node.
+class LTreeTestPeer {
+ public:
+  static Inner* AllocateInner(LTree* tree) {
+    return tree->inner_arena_.Allocate();
+  }
+  static void ReleaseInner(LTree* tree, Inner* node) {
+    tree->inner_arena_.Release(node);
+  }
+};
+
 namespace {
 
 std::unique_ptr<LTree> MakeTree(std::vector<LTree::LeafHandle>* handles) {
@@ -35,7 +48,7 @@ TEST(InvariantCheckerTest, DetectsWrongLeafLabel) {
 TEST(InvariantCheckerTest, DetectsWrongLeafCount) {
   std::vector<LTree::LeafHandle> handles;
   auto tree = MakeTree(&handles);
-  Node* internal = handles[0]->parent;
+  Inner* internal = handles[0]->parent;
   const uint64_t saved = internal->leaf_count;
   internal->leaf_count = saved + 1;
   EXPECT_TRUE(tree->Validate().HasRule("leaf-count-sum"));
@@ -46,8 +59,8 @@ TEST(InvariantCheckerTest, DetectsWrongLeafCount) {
 TEST(InvariantCheckerTest, DetectsBrokenParentPointer) {
   std::vector<LTree::LeafHandle> handles;
   auto tree = MakeTree(&handles);
-  Node* leaf = handles[2];
-  Node* saved = leaf->parent;
+  Leaf* leaf = handles[2];
+  Inner* saved = leaf->parent;
   leaf->parent = handles[7]->parent;
   if (saved != leaf->parent) {
     EXPECT_TRUE(tree->Validate().HasRule("parent-link"));
@@ -73,7 +86,7 @@ TEST(InvariantCheckerTest, DetectsBudgetViolation) {
   // Pretend a height-1 node owns more leaves than lmax(1) = 4 by wiring
   // extra children in (steal a leaf's slot bookkeeping): simply inflate
   // the count on the root beyond its budget.
-  Node* root = const_cast<Node*>(tree->root());
+  Inner* root = const_cast<Inner*>(tree->root());
   const uint64_t saved = root->leaf_count;
   root->leaf_count = tree->powers().LeafBudget(root->height);
   EXPECT_TRUE(tree->Validate().HasRule("leaf-budget"));
@@ -87,6 +100,21 @@ TEST(InvariantCheckerTest, DetectsStaleLiveCounter) {
   handles[1]->deleted = true;  // bypassing MarkDeleted leaves counters stale
   EXPECT_TRUE(tree->Validate().HasRule("live-count"));
   handles[1]->deleted = false;
+  EXPECT_TRUE(tree->Validate().ok());
+}
+
+TEST(InvariantCheckerTest, DetectsLeakedInnerNode) {
+  std::vector<LTree::LeafHandle> handles;
+  auto tree = MakeTree(&handles);
+  // Live in the inner arena but reachable from nowhere.
+  Inner* leaked = LTreeTestPeer::AllocateInner(tree.get());
+  const audit::Report report = tree->Validate();
+  ASSERT_EQ(report.total(), 1u) << report.ToString();
+  EXPECT_EQ(report.violations()[0].rule, "arena-conservation");
+  EXPECT_NE(report.violations()[0].message.find("inner arena"),
+            std::string::npos)
+      << report.ToString();
+  LTreeTestPeer::ReleaseInner(tree.get(), leaked);
   EXPECT_TRUE(tree->Validate().ok());
 }
 

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "common/random.h"
@@ -157,10 +158,16 @@ INSTANTIATE_TEST_SUITE_P(
                       PropertyCase{32, 2, 500, false},
                       PropertyCase{64, 8, 37, false}),
     [](const auto& info) {
-      return "f" + std::to_string(info.param.f) + "s" +
-             std::to_string(info.param.s) + "n" +
-             std::to_string(info.param.initial) +
-             (info.param.purge ? "purge" : "");
+      // Appends, not a chained `+`: GCC 12 raises a false -Wrestrict on
+      // "literal" + std::string in Release.
+      std::string name = "f";
+      name += std::to_string(info.param.f);
+      name += "s";
+      name += std::to_string(info.param.s);
+      name += "n";
+      name += std::to_string(info.param.initial);
+      if (info.param.purge) name += "purge";
+      return name;
     });
 
 }  // namespace

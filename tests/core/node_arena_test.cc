@@ -20,16 +20,28 @@
 #include "core/node_arena.h"
 
 namespace ltree {
+
+/// Exposes the tree's two arenas for the heap-accounting test.
+class LTreeTestPeer {
+ public:
+  static const LeafArena& leaf_arena(const LTree& tree) {
+    return tree.leaf_arena_;
+  }
+  static const InnerArena& inner_arena(const LTree& tree) {
+    return tree.inner_arena_;
+  }
+};
+
 namespace {
 
 // ---------------------------------------------------------------------------
-// NodeArena unit tests
+// LeafArena / InnerArena unit tests
 // ---------------------------------------------------------------------------
 
 TEST(NodeArenaTest, FreshAllocationsComeFromChunks) {
-  NodeArena arena;
+  LeafArena arena;
   EXPECT_EQ(arena.stats().chunks, 0u);
-  Node* a = arena.Allocate();
+  Leaf* a = arena.Allocate();
   ASSERT_NE(a, nullptr);
   EXPECT_EQ(arena.stats().chunks, 1u);
   EXPECT_EQ(arena.stats().fresh_allocs, 1u);
@@ -37,76 +49,114 @@ TEST(NodeArenaTest, FreshAllocationsComeFromChunks) {
   EXPECT_EQ(arena.stats().live(), 1u);
 
   // Fill the first chunk; the next allocation opens a second one.
-  std::vector<Node*> nodes;
-  for (size_t i = 1; i < NodeArena::kChunkNodes; ++i) {
+  std::vector<Leaf*> nodes;
+  for (size_t i = 1; i < LeafArena::kChunkNodes; ++i) {
     nodes.push_back(arena.Allocate());
   }
   EXPECT_EQ(arena.stats().chunks, 1u);
   nodes.push_back(arena.Allocate());
   EXPECT_EQ(arena.stats().chunks, 2u);
-  EXPECT_EQ(arena.stats().fresh_allocs, NodeArena::kChunkNodes + 1);
+  EXPECT_EQ(arena.stats().fresh_allocs, LeafArena::kChunkNodes + 1);
 }
 
 TEST(NodeArenaTest, SlotsAreCacheLineAligned) {
-  // Concurrent readers tag erased slot pointers in their low bit and the
-  // planned SIMD node scan assumes line-aligned loads, so every slot —
-  // fresh from a chunk or recycled off the free list — must start on a
-  // 64-byte boundary.
-  static_assert(NodeArena::kSlotAlign == 64, "slots must be line-aligned");
-  static_assert(NodeArena::kSlotStride % NodeArena::kSlotAlign == 0,
-                "stride must preserve the alignment of every slot");
+  // An inner node fills a whole line, so every inner slot — fresh from a
+  // chunk or recycled off the free list — must start on a 64-byte boundary.
+  static_assert(InnerArena::kSlotStride == InnerArena::kLineBytes);
 
-  NodeArena arena;
-  std::vector<Node*> nodes;
+  InnerArena arena;
+  std::vector<Inner*> nodes;
   // Span two chunks so chunk bases (not just strides) are covered.
-  for (size_t i = 0; i < NodeArena::kChunkNodes + 8; ++i) {
+  for (size_t i = 0; i < InnerArena::kChunkNodes + 8; ++i) {
     nodes.push_back(arena.Allocate());
   }
   ASSERT_EQ(arena.stats().chunks, 2u);
-  for (const Node* n : nodes) {
-    EXPECT_EQ(reinterpret_cast<uintptr_t>(n) % NodeArena::kSlotAlign, 0u);
+  for (const Inner* n : nodes) {
+    EXPECT_EQ(reinterpret_cast<uintptr_t>(n) % InnerArena::kLineBytes, 0u);
   }
 
   // Recycling preserves alignment: the free list hands back slot bases.
   for (size_t i = 0; i < 8; ++i) arena.Release(nodes[i * 3]);
   for (size_t i = 0; i < 8; ++i) {
-    const Node* n = arena.Allocate();
-    EXPECT_EQ(reinterpret_cast<uintptr_t>(n) % NodeArena::kSlotAlign, 0u);
+    const Inner* n = arena.Allocate();
+    EXPECT_EQ(reinterpret_cast<uintptr_t>(n) % InnerArena::kLineBytes, 0u);
   }
   EXPECT_EQ(arena.stats().reused_allocs, 8u);
 }
 
+// Allocates `count` slots from a fresh arena and checks that none straddles
+// a 64-byte line and that slots within a chunk sit one stride apart.
+template <typename Arena>
+void ExpectSlotsTileLines(size_t count, uintptr_t want_stride) {
+  Arena arena;
+  std::vector<uintptr_t> addrs;
+  for (size_t i = 0; i < count; ++i) {
+    addrs.push_back(reinterpret_cast<uintptr_t>(arena.Allocate()));
+  }
+  ASSERT_GT(arena.stats().chunks, 1u) << "want chunk boundaries covered";
+  for (size_t i = 0; i < count; ++i) {
+    const uintptr_t first_line = addrs[i] / 64;
+    const uintptr_t last_line =
+        (addrs[i] + Arena::kSlotStride - 1) / 64;
+    EXPECT_EQ(first_line, last_line) << "slot " << i << " straddles a line";
+    if (i % Arena::kChunkNodes != 0) {
+      EXPECT_EQ(addrs[i] - addrs[i - 1], want_stride) << "slot " << i;
+    }
+  }
+}
+
+TEST(NodeArenaTest, SlotsNeverStraddleACacheLine) {
+  // Two leaves share each line; an inner node owns one.
+  ExpectSlotsTileLines<LeafArena>(600, 32);
+  ExpectSlotsTileLines<InnerArena>(600, 64);
+}
+
 TEST(NodeArenaTest, ReleaseThenAllocateRecycles) {
-  NodeArena arena;
-  Node* a = arena.Allocate();
+  InnerArena arena;
+  Inner* a = arena.Allocate();
   a->height = 3;
   a->num = 42;
-  a->deleted = true;
+  a->leaf_count = 7;
+  a->index_in_parent = 5;
   arena.Release(a);
   EXPECT_EQ(arena.stats().releases, 1u);
   EXPECT_EQ(arena.stats().live(), 0u);
 
-  Node* b = arena.Allocate();
+  Inner* b = arena.Allocate();
   EXPECT_EQ(b, a);  // LIFO free list
   EXPECT_EQ(arena.stats().reused_allocs, 1u);
   EXPECT_EQ(arena.stats().fresh_allocs, 1u);
-  // Recycled node is back in the default (fresh leaf) state.
-  EXPECT_EQ(b->height, 0u);
+  // Recycled node is back in the default (empty height-1) state.
+  EXPECT_EQ(b->height, 1u);
   EXPECT_EQ(b->num, 0u);
-  EXPECT_EQ(b->leaf_count, 1u);
-  EXPECT_FALSE(b->deleted);
+  EXPECT_EQ(b->leaf_count, 0u);
+  EXPECT_EQ(b->index_in_parent, 0u);
   EXPECT_EQ(b->parent, nullptr);
   EXPECT_TRUE(b->children.empty());
+
+  LeafArena leaves;
+  Leaf* l = leaves.Allocate();
+  l->num = 42;
+  l->cookie = 9;
+  l->deleted = true;
+  leaves.Release(l);
+  Leaf* m = leaves.Allocate();
+  EXPECT_EQ(m, l);
+  EXPECT_EQ(m->height, 0u);
+  EXPECT_EQ(m->num, 0u);
+  EXPECT_EQ(m->cookie, 0u);
+  EXPECT_FALSE(m->deleted);
+  EXPECT_EQ(m->parent, nullptr);
 }
 
 TEST(NodeArenaTest, RecycledNodeKeepsChildrenCapacity) {
-  NodeArena arena;
-  Node* a = arena.Allocate();
+  InnerArena arena;
+  Inner* a = arena.Allocate();
   a->children.reserve(17);
   const size_t cap = a->children.capacity();
   ASSERT_GE(cap, 17u);
   arena.Release(a);
-  Node* b = arena.Allocate();
+  Inner* b = arena.Allocate();
   ASSERT_EQ(b, a);
   EXPECT_TRUE(b->children.empty());
   EXPECT_EQ(b->children.capacity(), cap);  // the buffer survived recycling
@@ -128,7 +178,10 @@ TEST(NodeArenaStatsTest, TotalAllocsAndLive) {
 uint64_t CountNodes(const Node* n) {
   if (n == nullptr) return 0;
   uint64_t total = 1;
-  for (const Node* child : n->children) total += CountNodes(child);
+  if (n->IsLeaf()) return total;
+  for (const Node* child : static_cast<const Inner*>(n)->children) {
+    total += CountNodes(child);
+  }
   return total;
 }
 
@@ -156,19 +209,19 @@ TEST_P(ArenaConservationTest, RandomScriptConservesNodes) {
   Rng rng(2024);
   for (int i = 0; i < 2000; ++i) {
     if (rng.Bernoulli(0.25) && tree->num_live_leaves() > 1) {
-      Node* victim = tree->FirstLiveLeaf();
+      Leaf* victim = tree->FirstLiveLeaf();
       const size_t skip = static_cast<size_t>(rng.Uniform(8));
       for (size_t s = 0; s < skip; ++s) {
-        Node* next = tree->NextLiveLeaf(victim);
+        Leaf* next = tree->NextLiveLeaf(victim);
         if (next == nullptr) break;
         victim = next;
       }
       ASSERT_TRUE(tree->MarkDeleted(victim).ok());
     }
-    Node* pos = tree->FirstLiveLeaf();
+    Leaf* pos = tree->FirstLiveLeaf();
     const size_t skip = static_cast<size_t>(rng.Uniform(32));
     for (size_t s = 0; s < skip; ++s) {
-      Node* next = tree->NextLiveLeaf(pos);
+      Leaf* next = tree->NextLiveLeaf(pos);
       if (next == nullptr) break;
       pos = next;
     }
@@ -237,6 +290,44 @@ TEST(ArenaStatsWindowTest, ResetStatsRestartsAllocCounters) {
   EXPECT_EQ(tree->stats().nodes_allocated + tree->stats().nodes_reused, 1u);
   // Lifetime counters are monotonic and unaffected by the reset.
   EXPECT_GE(tree->arena_stats().TotalAllocs(), 101u);
+}
+
+// ---------------------------------------------------------------------------
+// Heap accounting
+// ---------------------------------------------------------------------------
+
+uint64_t ChildBufferBytes(const Node* n) {
+  if (n->IsLeaf()) return 0;
+  const Inner* inner = static_cast<const Inner*>(n);
+  uint64_t bytes = inner->children.capacity() * sizeof(Node*);
+  for (const Node* child : inner->children) bytes += ChildBufferBytes(child);
+  return bytes;
+}
+
+TEST(LTreeHeapBytesTest, BulkLoadCountsBothArenasAndChildBuffers) {
+  constexpr uint64_t kLeaves = 100000;
+  auto tree = LTree::Create(Params{.f = 16, .s = 2}).ValueOrDie();
+  std::vector<LeafCookie> cookies(kLeaves);
+  for (uint64_t i = 0; i < kLeaves; ++i) cookies[i] = i;
+  ASSERT_TRUE(tree->BulkLoad(cookies).ok());
+
+  const LeafArena& leaves = LTreeTestPeer::leaf_arena(*tree);
+  const InnerArena& inners = LTreeTestPeer::inner_arena(*tree);
+  const uint64_t arena_bytes =
+      leaves.stats().chunks * LeafArena::kChunkBytes +
+      inners.stats().chunks * InnerArena::kChunkBytes;
+  uint64_t free_child_bytes = 0;
+  inners.ForEachFree([&](const Inner* n) {
+    free_child_bytes += n->children.capacity() * sizeof(Node*);
+  });
+  EXPECT_EQ(tree->ApproxHeapBytes(),
+            arena_bytes + ChildBufferBytes(tree->root()) + free_child_bytes);
+  // 32 B per leaf plus one 64 B line per inner node: well under the two
+  // 64 B lines every leaf took when leaves and inner nodes shared a type.
+  // With d = f/s = 8 the bulk load fills height-1 nodes with ~8 leaves, so
+  // this measures 41.4 B. (At d = 4 and 100k leaves the even split leaves
+  // under 3 leaves per height-1 node, and it measures 55.6 B.)
+  EXPECT_LE(static_cast<double>(arena_bytes) / kLeaves, 48.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -344,10 +435,10 @@ TEST(SeedGoldenStatsTest, MixedEraseInsertWithPurge) {
       ASSERT_TRUE(tree->MarkDeleted(handles[r]).ok());
       erased[r] = true;
     }
-    Node* live = tree->FirstLiveLeaf();
+    Leaf* live = tree->FirstLiveLeaf();
     const size_t skip = static_cast<size_t>(rng.Uniform(16));
     for (size_t s = 0; s < skip && live != nullptr; ++s) {
-      Node* nxt = tree->NextLiveLeaf(live);
+      Leaf* nxt = tree->NextLiveLeaf(live);
       if (nxt == nullptr) break;
       live = nxt;
     }

@@ -94,8 +94,8 @@ TEST(LTreeAuditTest, CleanTreeHasNoViolations) {
 
 TEST(LTreeAuditTest, DetectsSwappedLeafLabels) {
   auto tree = MakeTree(300);
-  Node* first = tree->FirstLeaf();
-  Node* second = tree->NextLeaf(first);
+  Leaf* first = tree->FirstLeaf();
+  Leaf* second = tree->NextLeaf(first);
   ASSERT_NE(second, nullptr);
   std::swap(first->num, second->num);
 
@@ -113,10 +113,11 @@ TEST(LTreeAuditTest, DetectsSwappedLeafLabels) {
 
 TEST(LTreeAuditTest, DetectsBrokenParentLink) {
   auto tree = MakeTree(300);
-  Node* leaf = tree->FirstLeaf();
+  Leaf* leaf = tree->FirstLeaf();
   for (int i = 0; i < 10; ++i) leaf = tree->NextLeaf(leaf);
-  Node* const saved = leaf->parent;
-  leaf->parent = leaf;  // point anywhere but the real parent
+  Inner* const saved = leaf->parent;
+  // Point anywhere but the real parent (a height-1 node, not the root).
+  leaf->parent = const_cast<Inner*>(tree->root());
 
   const audit::Report report = tree->Validate();
   EXPECT_TRUE(report.HasRule("parent-link")) << report.ToString();
@@ -125,9 +126,9 @@ TEST(LTreeAuditTest, DetectsBrokenParentLink) {
 
 TEST(LTreeAuditTest, DetectsWrongSubtreeLeafCount) {
   auto tree = MakeTree(300);
-  Node* root = const_cast<Node*>(tree->root());
+  Inner* root = const_cast<Inner*>(tree->root());
   ASSERT_FALSE(root->children.empty());
-  Node* child = root->children[0];
+  Inner* child = static_cast<Inner*>(root->children[0]);
   child->leaf_count += 1;
 
   const audit::Report report = tree->Validate();
@@ -151,7 +152,7 @@ TEST(LTreeAuditTest, DetectsTombstoneAccountingDrift) {
 
 TEST(LTreeAuditTest, DetectsChildIndexMismatch) {
   auto tree = MakeTree(300);
-  Node* root = const_cast<Node*>(tree->root());
+  Inner* root = const_cast<Inner*>(tree->root());
   ASSERT_GE(root->children.size(), 2u);
   root->children[1]->index_in_parent = 0;
 
@@ -162,8 +163,8 @@ TEST(LTreeAuditTest, DetectsChildIndexMismatch) {
 
 TEST(LTreeAuditTest, ViolationPathsAreStructural) {
   auto tree = MakeTree(300);
-  Node* root = const_cast<Node*>(tree->root());
-  Node* child = root->children[0];
+  Inner* root = const_cast<Inner*>(tree->root());
+  Inner* child = static_cast<Inner*>(root->children[0]);
   child->leaf_count += 1;
 
   const audit::Report report = tree->Validate();

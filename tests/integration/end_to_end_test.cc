@@ -107,15 +107,18 @@ TEST_P(EndToEndTest, FullPipelineStaysConsistent) {
   EXPECT_EQ(reparsed->num_elements(), store->document().num_elements());
 }
 
-TEST_P(EndToEndTest, VirtualStoreTracksMaterializedLabels) {
+// Runs over the materialized "ltree:" specs only: each has a "virtual:"
+// twin to compare against.
+class MaterializedVsVirtualTest
+    : public ::testing::TestWithParam<EndToEndCase> {};
+
+TEST_P(MaterializedVsVirtualTest, VirtualStoreTracksMaterializedLabels) {
   // Loading the same document over "ltree:f:s" and "virtual:f:s" must
   // produce label-for-label identical stores (Section 4.2: the virtual
   // variant mirrors the materialized algorithm decision-for-decision).
   const EndToEndCase tc = GetParam();
   const std::string spec = tc.spec;
-  if (spec.rfind("ltree:", 0) != 0) {
-    GTEST_SKIP() << "only meaningful for materialized L-Tree specs";
-  }
+  ASSERT_EQ(spec.rfind("ltree:", 0), 0u) << spec;
   const std::string xml_text = workload::GenerateCatalogXml(tc.books, 2, 5);
   auto mat =
       docstore::LabeledDocument::FromXml(xml_text, spec).MoveValueUnsafe();
@@ -125,23 +128,27 @@ TEST_P(EndToEndTest, VirtualStoreTracksMaterializedLabels) {
   EXPECT_EQ(mat->label_store().Labels(), virt->label_store().Labels());
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Schemes, EndToEndTest,
-    ::testing::Values(EndToEndCase{"ltree:4:2", 20},
-                      EndToEndCase{"ltree:16:4", 60},
-                      EndToEndCase{"ltree:32:2", 40},
-                      EndToEndCase{"ltree:16:4:purge", 30},
-                      EndToEndCase{"virtual:16:4", 30},
-                      EndToEndCase{"bender", 25},
-                      EndToEndCase{"gap:64", 25},
-                      EndToEndCase{"sequential", 12}),
-    [](const auto& info) {
-      std::string name = info.param.spec;
-      for (char& c : name) {
-        if (c == ':' || c == '.') c = '_';
-      }
-      return name;
-    });
+// The first four cases are the materialized "ltree:" specs.
+const EndToEndCase kCases[] = {
+    {"ltree:4:2", 20},        {"ltree:16:4", 60},   {"ltree:32:2", 40},
+    {"ltree:16:4:purge", 30}, {"virtual:16:4", 30}, {"bender", 25},
+    {"gap:64", 25},           {"sequential", 12},
+};
+constexpr size_t kLTreeCases = 4;
+
+std::string CaseName(const ::testing::TestParamInfo<EndToEndCase>& info) {
+  std::string name = info.param.spec;
+  for (char& c : name) {
+    if (c == ':' || c == '.') c = '_';
+  }
+  return name;
+}
+
+INSTANTIATE_TEST_SUITE_P(Schemes, EndToEndTest, ::testing::ValuesIn(kCases),
+                         CaseName);
+INSTANTIATE_TEST_SUITE_P(LTreeSpecs, MaterializedVsVirtualTest,
+                         ::testing::ValuesIn(kCases, kCases + kLTreeCases),
+                         CaseName);
 
 }  // namespace
 }  // namespace ltree

@@ -169,14 +169,18 @@ TEST(BTreeArenaTest, ApproxHeapBytesCoversChunksAndBuffers) {
   // a value slot somewhere in the leaves.
   EXPECT_GT(tree.arena_stats().chunks, 0u);
   EXPECT_GE(tree.ApproxHeapBytes(), 4096 * 2 * sizeof(uint64_t));
+  // The slot stride is the node rounded up to whole cache lines, 1600 B, in
+  // 256-slot chunks; PoolArena's line-tiling rule only changes strides of
+  // nodes no wider than a line.
+  EXPECT_EQ(tree.ApproxHeapBytes(), tree.arena_stats().chunks * 256 * 1600);
 }
 
 TEST(BTreeArenaTest, NodesAreCacheLineAligned) {
   // The node type is opaque, but with an epoch attached every node freed
   // by Clear() is retired instead of recycled — ForEachPending then hands
   // us the raw slot pointers of a whole multi-level tree, which must all
-  // sit on 64-byte boundaries (the pool pads slots to the cache line; see
-  // PoolArena::kSlotAlign).
+  // sit on 64-byte boundaries (the pool rounds a node wider than a line up
+  // to whole lines; see PoolArena::kSlotStride).
   epoch::EpochManager epoch;
   CountedBTree tree(4);
   tree.set_epoch(&epoch);
