@@ -254,15 +254,15 @@ Status LTree::PlanInsertAt(Inner* parent, uint32_t idx, uint64_t k,
 
 Status LTree::InsertAt(Inner* parent, uint32_t idx,
                        std::span<const LeafCookie> cookies,
-                       std::vector<LeafHandle>* handles, bool is_batch) {
+                       std::vector<LeafHandle>* handles) {
   BatchPlan plan;
   LTREE_RETURN_IF_ERROR(PlanInsertAt(parent, idx, cookies.size(), &plan));
-  return ApplyPlan(plan, cookies, handles, is_batch);
+  return ApplyPlan(plan, cookies, handles);
 }
 
 Status LTree::ApplyPlan(const BatchPlan& plan,
                         std::span<const LeafCookie> cookies,
-                        std::vector<LeafHandle>* handles, bool is_batch) {
+                        std::vector<LeafHandle>* handles) {
   const uint64_t k = cookies.size();
   LTREE_CHECK(k == plan.batch_size);
   if (k == 0) return Status::OK();
@@ -313,7 +313,6 @@ Status LTree::ApplyPlan(const BatchPlan& plan,
     RebuildRegion(plan);
   }
 
-  if (is_batch) ++stats_.batch_inserts;
   stats_.inserts += k;
   if (handles != nullptr) {
     // Pre-size for the whole batch; the max() keeps growth geometric so
@@ -502,44 +501,24 @@ void LTree::Relabel(Inner* t, Label num, uint32_t from_child,
 // Public update entry points
 // --------------------------------------------------------------------------
 
+// The single-leaf forms are the k = 1 batches; ApplyPlan leaves the new
+// leaf in fresh_scratch_.
+
 Result<LTree::LeafHandle> LTree::InsertAfter(LeafHandle pos,
                                              LeafCookie cookie) {
-  LTREE_CHECK(pos != nullptr);
-  LTREE_CHECK(pos->IsLeaf());
-  std::vector<LeafHandle> out;
-  const LeafCookie cookies[1] = {cookie};
-  LTREE_RETURN_IF_ERROR(InsertAt(pos->parent, pos->index_in_parent + 1,
-                                 cookies, &out, /*is_batch=*/false));
-  return out[0];
+  LTREE_RETURN_IF_ERROR(InsertBatchAfter(pos, {&cookie, 1}));
+  return fresh_scratch_.front();
 }
 
 Result<LTree::LeafHandle> LTree::InsertBefore(LeafHandle pos,
                                               LeafCookie cookie) {
-  LTREE_CHECK(pos != nullptr);
-  LTREE_CHECK(pos->IsLeaf());
-  std::vector<LeafHandle> out;
-  const LeafCookie cookies[1] = {cookie};
-  LTREE_RETURN_IF_ERROR(InsertAt(pos->parent, pos->index_in_parent, cookies,
-                                 &out, /*is_batch=*/false));
-  return out[0];
+  LTREE_RETURN_IF_ERROR(InsertBatchBefore(pos, {&cookie, 1}));
+  return fresh_scratch_.front();
 }
 
 Result<LTree::LeafHandle> LTree::PushBack(LeafCookie cookie) {
-  Leaf* last = RightmostLeaf(root_);
-  if (last == nullptr) {
-    std::vector<LeafHandle> out;
-    const LeafCookie cookies[1] = {cookie};
-    LTREE_RETURN_IF_ERROR(
-        InsertAt(root_, 0, cookies, &out, /*is_batch=*/false));
-    return out[0];
-  }
-  return InsertAfter(last, cookie);
-}
-
-Result<LTree::LeafHandle> LTree::PushFront(LeafCookie cookie) {
-  Leaf* first = LeftmostLeaf(root_);
-  if (first == nullptr) return PushBack(cookie);
-  return InsertBefore(first, cookie);
+  LTREE_RETURN_IF_ERROR(PushBackBatch({&cookie, 1}));
+  return fresh_scratch_.front();
 }
 
 Result<BatchPlan> LTree::PlanBatchAfter(LeafHandle pos, uint64_t k) const {
@@ -551,22 +530,12 @@ Result<BatchPlan> LTree::PlanBatchAfter(LeafHandle pos, uint64_t k) const {
   return plan;
 }
 
-Result<BatchPlan> LTree::PlanBatchBefore(LeafHandle pos, uint64_t k) const {
-  LTREE_CHECK(pos != nullptr);
-  LTREE_CHECK(pos->IsLeaf());
-  BatchPlan plan;
-  LTREE_RETURN_IF_ERROR(
-      PlanInsertAt(pos->parent, pos->index_in_parent, k, &plan));
-  return plan;
-}
-
 Status LTree::InsertBatchAfter(LeafHandle pos,
                                std::span<const LeafCookie> cookies,
                                std::vector<LeafHandle>* handles) {
   LTREE_CHECK(pos != nullptr);
   LTREE_CHECK(pos->IsLeaf());
-  return InsertAt(pos->parent, pos->index_in_parent + 1, cookies, handles,
-                  /*is_batch=*/true);
+  return InsertAt(pos->parent, pos->index_in_parent + 1, cookies, handles);
 }
 
 Status LTree::InsertBatchBefore(LeafHandle pos,
@@ -574,15 +543,14 @@ Status LTree::InsertBatchBefore(LeafHandle pos,
                                 std::vector<LeafHandle>* handles) {
   LTREE_CHECK(pos != nullptr);
   LTREE_CHECK(pos->IsLeaf());
-  return InsertAt(pos->parent, pos->index_in_parent, cookies, handles,
-                  /*is_batch=*/true);
+  return InsertAt(pos->parent, pos->index_in_parent, cookies, handles);
 }
 
 Status LTree::PushBackBatch(std::span<const LeafCookie> cookies,
                             std::vector<LeafHandle>* handles) {
   Leaf* last = RightmostLeaf(root_);
   if (last == nullptr) {
-    return InsertAt(root_, 0, cookies, handles, /*is_batch=*/true);
+    return InsertAt(root_, 0, cookies, handles);
   }
   return InsertBatchAfter(last, cookies, handles);
 }

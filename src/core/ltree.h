@@ -74,9 +74,6 @@ class LTree {
   /// Appends a leaf after the current last leaf (works on an empty tree).
   Result<LeafHandle> PushBack(LeafCookie cookie);
 
-  /// Prepends a leaf before the current first leaf (works on an empty tree).
-  Result<LeafHandle> PushFront(LeafCookie cookie);
-
   /// Inserts `cookies.size()` consecutive leaves after `pos` with a single
   /// rebalance (Section 4.1). Appends the new handles to `handles` if
   /// non-null.
@@ -92,13 +89,12 @@ class LTree {
                        std::vector<LeafHandle>* handles = nullptr);
 
   /// Planning phase of the batch pipeline, exposed for tests and benches:
-  /// projects the effect of splicing `k` leaves after/before `pos` without
+  /// projects the effect of splicing `k` leaves after `pos` without
   /// mutating the tree — the highest budget violator with the whole
   /// escalation chain coalesced into one rebuild region. Fails with
   /// CapacityExceeded exactly when the insert itself would. The plan is
   /// invalidated by any mutation.
   Result<BatchPlan> PlanBatchAfter(LeafHandle pos, uint64_t k) const;
-  Result<BatchPlan> PlanBatchBefore(LeafHandle pos, uint64_t k) const;
 
   /// Tombstones a leaf (Section 2.3): the label slot stays occupied, no
   /// relabeling happens. Fails with FailedPrecondition if already deleted.
@@ -213,7 +209,7 @@ class LTree {
   /// node) starting at child index `idx`.
   Status InsertAt(Inner* parent, uint32_t idx,
                   std::span<const LeafCookie> cookies,
-                  std::vector<LeafHandle>* handles, bool is_batch);
+                  std::vector<LeafHandle>* handles);
 
   /// Planning phase (Algorithm 1 walk + escalation coalescing); mutates
   /// nothing. `idx` is unused by the decision but recorded in the plan.
@@ -224,7 +220,7 @@ class LTree {
   /// Apply phase: splices the fresh leaves per `plan`, then rebuilds and
   /// relabels the planned region exactly once.
   Status ApplyPlan(const BatchPlan& plan, std::span<const LeafCookie> cookies,
-                   std::vector<LeafHandle>* handles, bool is_batch);
+                   std::vector<LeafHandle>* handles);
 
   /// Fails with CapacityExceeded if adding `k` leaves could require a root
   /// rebuild beyond the 64-bit label space.
@@ -286,7 +282,8 @@ class LTree {
   // every split. Only valid within one rebuild step at a time.
   std::vector<Leaf*> leaf_scratch_;
   std::vector<Node*> piece_scratch_;
-  std::vector<Leaf*> fresh_scratch_;  ///< InsertAt's new-leaf buffer
+  /// ApplyPlan's new-leaf buffer: holds the last insert's leaves, in order.
+  std::vector<Leaf*> fresh_scratch_;
 };
 
 }  // namespace ltree

@@ -15,10 +15,9 @@ void MaintStats::SetArenaTraffic(const PoolArenaStats& now,
 
 MaintStats& MaintStats::operator+=(const MaintStats& other) {
   // A new counter must be summed below; this fails to compile until it is.
-  static_assert(sizeof(MaintStats) == 17 * sizeof(uint64_t));
+  static_assert(sizeof(MaintStats) == 16 * sizeof(uint64_t));
   inserts += other.inserts;
   erases += other.erases;
-  batch_inserts += other.batch_inserts;
   items_relabeled += other.items_relabeled;
   rebalances += other.rebalances;
   relabel_passes += other.relabel_passes;
@@ -38,13 +37,12 @@ MaintStats& MaintStats::operator+=(const MaintStats& other) {
 
 std::string MaintStats::ToString() const {
   return StrFormat(
-      "MaintStats{inserts=%llu erases=%llu batches=%llu relabeled=%llu "
+      "MaintStats{inserts=%llu erases=%llu relabeled=%llu "
       "rebalances=%llu relabel_passes=%llu coalesced_regions=%llu "
       "nodes_allocated=%llu nodes_reused=%llu "
       "nodes_released=%llu relabels/insert=%.3f}",
       static_cast<unsigned long long>(inserts),
       static_cast<unsigned long long>(erases),
-      static_cast<unsigned long long>(batch_inserts),
       static_cast<unsigned long long>(items_relabeled),
       static_cast<unsigned long long>(rebalances),
       static_cast<unsigned long long>(relabel_passes),

@@ -20,9 +20,6 @@ struct MaintStats {
   // ---- every scheme ----
   uint64_t inserts = 0;  ///< items inserted (batch items count individually)
   uint64_t erases = 0;
-  /// Batch insertions performed (one per InsertBatch*/PushBackBatch call
-  /// that went down a native batch path; fallback per-item loops count 0).
-  uint64_t batch_inserts = 0;
   /// Existing items whose label changed (excludes the inserted item itself).
   /// Tombstoned slots count too, since rewriting them is the paper's cost,
   /// so with erases this can exceed the number of listener OnRelabel calls.

@@ -54,6 +54,14 @@ Result<std::unique_ptr<LabeledDocument>> LabeledDocument::FromDocument(
 
 Status LabeledDocument::BulkLoadFromDocument() {
   const std::vector<xml::TagEntry> stream = doc_.TagStream();
+  std::vector<ItemHandle> handles;
+  LTREE_RETURN_IF_ERROR(store_->BulkLoad(StreamCookies(stream), &handles));
+  LTREE_RETURN_IF_ERROR(RegisterStream(stream, handles));
+  return table_.Finalize();
+}
+
+std::vector<LeafCookie> LabeledDocument::StreamCookies(
+    const std::vector<xml::TagEntry>& stream) {
   std::vector<LeafCookie> cookies;
   cookies.reserve(stream.size());
   for (const xml::TagEntry& entry : stream) {
@@ -61,13 +69,14 @@ Status LabeledDocument::BulkLoadFromDocument() {
                           ? EndCookie(entry.node->id)
                           : BeginCookie(entry.node->id));
   }
-  std::vector<ItemHandle> handles;
-  LTREE_RETURN_IF_ERROR(store_->BulkLoad(cookies, &handles));
+  return cookies;
+}
 
+Status LabeledDocument::RegisterStream(const std::vector<xml::TagEntry>& stream,
+                                       std::span<const ItemHandle> handles) {
   for (size_t i = 0; i < stream.size(); ++i) {
-    const xml::TagEntry& entry = stream[i];
-    LeafPair& pair = leaves_[entry.node->id];
-    if (entry.kind == xml::TagEntry::Kind::kEnd) {
+    LeafPair& pair = leaves_[stream[i].node->id];
+    if (stream[i].kind == xml::TagEntry::Kind::kEnd) {
       pair.end = handles[i];
     } else {
       pair.begin = handles[i];
@@ -75,10 +84,9 @@ Status LabeledDocument::BulkLoadFromDocument() {
   }
   for (const xml::TagEntry& entry : stream) {
     if (entry.kind != xml::TagEntry::Kind::kBegin) continue;
-    LTREE_RETURN_IF_ERROR(
-        RegisterNode(entry.node, leaves_[entry.node->id]));
+    LTREE_RETURN_IF_ERROR(RegisterNode(entry.node, leaves_[entry.node->id]));
   }
-  return table_.Finalize();
+  return Status::OK();
 }
 
 Status LabeledDocument::RegisterNode(const xml::Node* node, LeafPair leaves) {
@@ -111,93 +119,72 @@ void LabeledDocument::OnRelabel(LeafCookie cookie, Label old_label,
 // Updates
 // ---------------------------------------------------------------------------
 
-namespace {
-
-/// Resolves the insertion anchor inside `parent`:
-///  - returns the node to insert after (nullptr = append as last child).
-Result<xml::Node*> ResolveSibling(xml::Node* parent, xml::NodeId after) {
-  if (after == 0) return static_cast<xml::Node*>(nullptr);
-  for (xml::Node* c = parent->first_child; c != nullptr;
-       c = c->next_sibling) {
-    if (c->id == after) return c;
-  }
-  return Status::NotFound("after_sibling is not a child of parent");
-}
-
-}  // namespace
-
-Result<xml::NodeId> LabeledDocument::InsertElement(xml::NodeId parent_id,
-                                                   xml::NodeId after_sibling,
-                                                   std::string tag) {
+Result<LabeledDocument::Anchor> LabeledDocument::ResolveAnchor(
+    xml::NodeId parent_id, xml::NodeId after_sibling) const {
   auto pit = leaves_.find(parent_id);
   if (pit == leaves_.end() || pit->second.end == kInvalidItemHandle) {
     return Status::NotFound("parent is not a live element");
   }
   xml::Node* parent = doc_.FindById(parent_id);
   LTREE_CHECK(parent != nullptr);
-  LTREE_ASSIGN_OR_RETURN(xml::Node * sibling,
-                         ResolveSibling(parent, after_sibling));
+  if (after_sibling == 0) {
+    // Last child: right before the parent's end tag.
+    return Anchor{parent, nullptr, listlab::Where::kBefore, pit->second.end};
+  }
+  for (xml::Node* c = parent->first_child; c != nullptr;
+       c = c->next_sibling) {
+    if (c->id != after_sibling) continue;
+    // Right after the sibling's last leaf (its begin leaf if it is text).
+    const LeafPair& sib = leaves_.at(c->id);
+    const ItemHandle last = sib.end != kInvalidItemHandle ? sib.end : sib.begin;
+    return Anchor{parent, c, listlab::Where::kAfter, last};
+  }
+  return Status::NotFound("after_sibling is not a child of parent");
+}
 
-  xml::Node* fresh = doc_.CreateElement(std::move(tag));
-  Status attach = sibling == nullptr
-                      ? doc_.AppendChild(parent, fresh)
-                      : doc_.InsertAfter(parent, sibling, fresh);
+Result<xml::NodeId> LabeledDocument::InsertSubtree(const Anchor& anchor,
+                                                   xml::Node* fresh) {
+  Status attach = anchor.sibling == nullptr
+                      ? doc_.AppendChild(anchor.parent, fresh)
+                      : doc_.InsertAfter(anchor.parent, anchor.sibling, fresh);
   LTREE_RETURN_IF_ERROR(attach);
-
-  const LeafCookie cookies[2] = {BeginCookie(fresh->id), EndCookie(fresh->id)};
+  // The subtree's tag stream enters the label store as one batch (Section
+  // 4.1); a text node is a batch of one.
+  const std::vector<xml::TagEntry> stream = xml::Document::TagStream(fresh);
+  const std::vector<LeafCookie> cookies = StreamCookies(stream);
   std::vector<ItemHandle> handles;
-  Status st;
-  if (sibling == nullptr) {
-    st = store_->InsertBatchBefore(pit->second.end, cookies, &handles);
-  } else {
-    const LeafPair& sib = leaves_.at(sibling->id);
-    const ItemHandle anchor =
-        sib.end != kInvalidItemHandle ? sib.end : sib.begin;
-    st = store_->InsertBatchAfter(anchor, cookies, &handles);
-  }
-  if (!st.ok()) {
+  auto first = store_->Insert(anchor.where, anchor.pos, cookies, &handles);
+  if (!first.ok()) {
     LTREE_CHECK_OK(doc_.Remove(fresh));
-    return st;
+    return first.status();
   }
-  LeafPair pair{handles[0], handles[1]};
-  leaves_[fresh->id] = pair;
-  LTREE_RETURN_IF_ERROR(RegisterNode(fresh, pair));
+  LTREE_RETURN_IF_ERROR(RegisterStream(stream, handles));
   return fresh->id;
+}
+
+Result<xml::NodeId> LabeledDocument::InsertElement(xml::NodeId parent_id,
+                                                   xml::NodeId after_sibling,
+                                                   std::string tag) {
+  LTREE_ASSIGN_OR_RETURN(const Anchor anchor,
+                         ResolveAnchor(parent_id, after_sibling));
+  return InsertSubtree(anchor, doc_.CreateElement(std::move(tag)));
 }
 
 Result<xml::NodeId> LabeledDocument::InsertText(xml::NodeId parent_id,
                                                 xml::NodeId after_sibling,
                                                 std::string text) {
-  auto pit = leaves_.find(parent_id);
-  if (pit == leaves_.end() || pit->second.end == kInvalidItemHandle) {
-    return Status::NotFound("parent is not a live element");
-  }
-  xml::Node* parent = doc_.FindById(parent_id);
-  LTREE_CHECK(parent != nullptr);
-  LTREE_ASSIGN_OR_RETURN(xml::Node * sibling,
-                         ResolveSibling(parent, after_sibling));
+  LTREE_ASSIGN_OR_RETURN(const Anchor anchor,
+                         ResolveAnchor(parent_id, after_sibling));
+  return InsertSubtree(anchor, doc_.CreateText(std::move(text)));
+}
 
-  xml::Node* fresh = doc_.CreateText(std::move(text));
-  Status attach = sibling == nullptr
-                      ? doc_.AppendChild(parent, fresh)
-                      : doc_.InsertAfter(parent, sibling, fresh);
-  LTREE_RETURN_IF_ERROR(attach);
-
-  Result<ItemHandle> handle = [&]() -> Result<ItemHandle> {
-    if (sibling == nullptr) {
-      return store_->InsertBefore(pit->second.end, BeginCookie(fresh->id));
-    }
-    const LeafPair& sib = leaves_.at(sibling->id);
-    const ItemHandle anchor =
-        sib.end != kInvalidItemHandle ? sib.end : sib.begin;
-    return store_->InsertAfter(anchor, BeginCookie(fresh->id));
-  }();
-  if (!handle.ok()) {
-    LTREE_CHECK_OK(doc_.Remove(fresh));
-    return handle.status();
-  }
-  leaves_[fresh->id] = LeafPair{*handle, kInvalidItemHandle};
-  return fresh->id;
+Result<xml::NodeId> LabeledDocument::InsertFragment(xml::NodeId parent_id,
+                                                    xml::NodeId after_sibling,
+                                                    std::string_view fragment) {
+  LTREE_ASSIGN_OR_RETURN(const Anchor anchor,
+                         ResolveAnchor(parent_id, after_sibling));
+  LTREE_ASSIGN_OR_RETURN(xml::Document frag, xml::Parse(fragment));
+  return InsertSubtree(anchor, CopySubtree(frag.root(), nullptr));
 }
 
 xml::Node* LabeledDocument::CopySubtree(const xml::Node* src,
@@ -213,67 +200,6 @@ xml::Node* LabeledDocument::CopySubtree(const xml::Node* src,
     CopySubtree(c, clone);
   }
   return clone;
-}
-
-Result<xml::NodeId> LabeledDocument::InsertFragment(xml::NodeId parent_id,
-                                                    xml::NodeId after_sibling,
-                                                    std::string_view fragment) {
-  auto pit = leaves_.find(parent_id);
-  if (pit == leaves_.end() || pit->second.end == kInvalidItemHandle) {
-    return Status::NotFound("parent is not a live element");
-  }
-  LTREE_ASSIGN_OR_RETURN(xml::Document frag, xml::Parse(fragment));
-  xml::Node* parent = doc_.FindById(parent_id);
-  LTREE_CHECK(parent != nullptr);
-  LTREE_ASSIGN_OR_RETURN(xml::Node * sibling,
-                         ResolveSibling(parent, after_sibling));
-
-  // Clone the fragment into this document and attach it.
-  xml::Node* clone_root = CopySubtree(frag.root(), nullptr);
-  Status attach = sibling == nullptr
-                      ? doc_.AppendChild(parent, clone_root)
-                      : doc_.InsertAfter(parent, sibling, clone_root);
-  LTREE_RETURN_IF_ERROR(attach);
-
-  // Tag stream of the clone, in order, as one leaf batch (Section 4.1).
-  const std::vector<xml::TagEntry> stream =
-      xml::Document::TagStream(clone_root);
-  std::vector<LeafCookie> cookies;
-  cookies.reserve(stream.size());
-  for (const xml::TagEntry& entry : stream) {
-    cookies.push_back(entry.kind == xml::TagEntry::Kind::kEnd
-                          ? EndCookie(entry.node->id)
-                          : BeginCookie(entry.node->id));
-  }
-
-  std::vector<ItemHandle> handles;
-  Status st;
-  if (sibling == nullptr) {
-    st = store_->InsertBatchBefore(pit->second.end, cookies, &handles);
-  } else {
-    const LeafPair& sib = leaves_.at(sibling->id);
-    const ItemHandle anchor =
-        sib.end != kInvalidItemHandle ? sib.end : sib.begin;
-    st = store_->InsertBatchAfter(anchor, cookies, &handles);
-  }
-  if (!st.ok()) {
-    LTREE_CHECK_OK(doc_.Remove(clone_root));
-    return st;
-  }
-
-  for (size_t i = 0; i < stream.size(); ++i) {
-    LeafPair& pair = leaves_[stream[i].node->id];
-    if (stream[i].kind == xml::TagEntry::Kind::kEnd) {
-      pair.end = handles[i];
-    } else {
-      pair.begin = handles[i];
-    }
-  }
-  for (const xml::TagEntry& entry : stream) {
-    if (entry.kind != xml::TagEntry::Kind::kBegin) continue;
-    LTREE_RETURN_IF_ERROR(RegisterNode(entry.node, leaves_[entry.node->id]));
-  }
-  return clone_root->id;
 }
 
 Status LabeledDocument::DeleteSubtree(xml::NodeId node_id) {

@@ -14,12 +14,12 @@
 // L-Tree, its virtual variant, and every baseline it compares against.
 //
 // Element updates:
-//   * InsertElement        — single new element (two leaf insertions);
-//   * InsertFragment*      — a parsed subtree, inserted as one leaf batch
-//     (the Section 4.1 bulk insertion — on schemes with a native batch
-//     path this rides the plan/apply pipeline: one coalesced rebuild
-//     region, one relabel pass, surfaced as MaintStats::relabel_passes /
-//     coalesced_regions);
+//   * InsertElement, InsertText, InsertFragment — a new element (two
+//     leaves), text node (one leaf) or parsed subtree: all three attach the
+//     node, then insert its whole tag stream with one label-store call (the
+//     Section 4.1 batch insertion — on the L-Tree schemes this rides the
+//     plan/apply pipeline: one coalesced rebuild region, one relabel pass,
+//     surfaced as MaintStats::relabel_passes / coalesced_regions);
 //   * DeleteSubtree        — erases the leaves (tombstones on the L-Tree
 //     variants, physical unlink on the baselines; see order_maintainer.h)
 //     and drops the rows.
@@ -28,9 +28,11 @@
 #define LTREE_DOCSTORE_LABELED_DOCUMENT_H_
 
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <vector>
 
 #include "common/result.h"
 #include "listlab/order_maintainer.h"
@@ -117,6 +119,34 @@ class LabeledDocument : private RelabelListener {
   void OnRelabel(LeafCookie cookie, Label old_label, Label new_label) override;
 
   Status BulkLoadFromDocument();
+
+  /// Where a new last child / next sibling goes: its DOM parent and left
+  /// sibling (nullptr: last child) and its tag-stream anchor in the store.
+  struct Anchor {
+    xml::Node* parent;
+    xml::Node* sibling;
+    listlab::Where where;
+    listlab::ItemHandle pos;
+  };
+
+  /// Resolves `after_sibling` (0: append as the last child) under the live
+  /// element `parent_id`.
+  Result<Anchor> ResolveAnchor(xml::NodeId parent_id,
+                               xml::NodeId after_sibling) const;
+
+  /// The shared insert path: attaches the unattached subtree `fresh` at
+  /// `anchor`, inserts its tag stream into the store with one call, and
+  /// registers it — or detaches it again if the store refuses.
+  Result<xml::NodeId> InsertSubtree(const Anchor& anchor, xml::Node* fresh);
+
+  /// Leaf cookies of a tag stream, in order.
+  static std::vector<LeafCookie> StreamCookies(
+      const std::vector<xml::TagEntry>& stream);
+
+  /// Records `handles` (one per `stream` entry, in order) in the handle
+  /// map and registers every element of the stream in the node table.
+  Status RegisterStream(const std::vector<xml::TagEntry>& stream,
+                        std::span<const listlab::ItemHandle> handles);
 
   /// Registers a freshly labeled node in the handle map and node table.
   Status RegisterNode(const xml::Node* node, LeafPair leaves);

@@ -84,10 +84,10 @@ Status LinkedListScheme::BulkLoadImpl(std::span<const LeafCookie> cookies,
   return Status::OK();
 }
 
-Result<ItemHandle> LinkedListScheme::InsertLinked(ListItem* where,
-                                                  LeafCookie cookie) {
+Result<ListItem*> LinkedListScheme::InsertLinked(ListItem* prev,
+                                                 LeafCookie cookie) {
   ListItem* item = AllocItem(cookie);
-  LinkAfter(where, item);
+  LinkAfter(prev, item);
   Status st = PlaceItem(item);
   if (!st.ok()) {
     Unlink(item);
@@ -96,28 +96,27 @@ Result<ItemHandle> LinkedListScheme::InsertLinked(ListItem* where,
     return st;
   }
   ++stats_.inserts;
+  return item;
+}
+
+Result<ItemHandle> LinkedListScheme::InsertImpl(
+    Where where, ItemHandle pos, std::span<const LeafCookie> cookies) {
+  ListItem* prev = tail_;
+  if (where != Where::kBack) {
+    LTREE_ASSIGN_OR_RETURN(ListItem * anchor, FindLive(pos));
+    prev = where == Where::kAfter ? anchor : anchor->prev;
+  }
+  const ItemHandle first = items_.size();
+  for (size_t i = 0; i < cookies.size(); ++i) {
+    Result<ListItem*> item = InsertLinked(prev, cookies[i]);
+    if (!item.ok()) {
+      for (size_t j = i; j-- > 0;) (void)EraseImpl(first + j);
+      return item.status();
+    }
+    prev = *item;
+  }
   AutoValidate("Insert");
-  return item->handle;
-}
-
-Result<ItemHandle> LinkedListScheme::InsertAfterImpl(ItemHandle pos,
-                                                 LeafCookie cookie) {
-  LTREE_ASSIGN_OR_RETURN(ListItem * where, FindLive(pos));
-  return InsertLinked(where, cookie);
-}
-
-Result<ItemHandle> LinkedListScheme::InsertBeforeImpl(ItemHandle pos,
-                                                  LeafCookie cookie) {
-  LTREE_ASSIGN_OR_RETURN(ListItem * where, FindLive(pos));
-  return InsertLinked(where->prev, cookie);
-}
-
-Result<ItemHandle> LinkedListScheme::PushBackImpl(LeafCookie cookie) {
-  return InsertLinked(tail_, cookie);
-}
-
-Result<ItemHandle> LinkedListScheme::PushFrontImpl(LeafCookie cookie) {
-  return InsertLinked(nullptr, cookie);
+  return first;
 }
 
 Status LinkedListScheme::EraseImpl(ItemHandle h) {

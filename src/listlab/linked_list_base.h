@@ -58,10 +58,10 @@ class LinkedListScheme : public LabelStore {
   // Mutation bodies (serialized by LabelStore's public wrappers).
   Status BulkLoadImpl(std::span<const LeafCookie> cookies,
                       std::vector<ItemHandle>* handles) final;
-  Result<ItemHandle> InsertAfterImpl(ItemHandle pos, LeafCookie cookie) final;
-  Result<ItemHandle> InsertBeforeImpl(ItemHandle pos, LeafCookie cookie) final;
-  Result<ItemHandle> PushBackImpl(LeafCookie cookie) final;
-  Result<ItemHandle> PushFrontImpl(LeafCookie cookie) final;
+  /// Places the items one by one (each scheme's PlaceItem); a failure
+  /// erases the ones this call already placed.
+  Result<ItemHandle> InsertImpl(Where where, ItemHandle pos,
+                                std::span<const LeafCookie> cookies) final;
   Status EraseImpl(ItemHandle h) final;
   void SnapshotImpl(
       std::vector<std::pair<Label, LeafCookie>>* out) const final;
@@ -95,7 +95,8 @@ class LinkedListScheme : public LabelStore {
   MaintStats stats_;
 
  private:
-  Result<ItemHandle> InsertLinked(ListItem* where, LeafCookie cookie);
+  /// Links a fresh item after `prev` (nullptr: front) and places it.
+  Result<ListItem*> InsertLinked(ListItem* prev, LeafCookie cookie);
 };
 
 }  // namespace listlab

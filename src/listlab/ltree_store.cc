@@ -57,88 +57,42 @@ Result<LTree::LeafHandle> LTreeStore::LiveHandle(ItemHandle h) const {
   return reinterpret_cast<LTree::LeafHandle>(bits);
 }
 
-ItemHandle LTreeStore::Register(LTree::LeafHandle handle,
-                                std::vector<ItemHandle>* handles) {
+ItemHandle LTreeStore::Register(LTree::LeafHandle handle) {
   slots_.PushBack().store(reinterpret_cast<uintptr_t>(handle),
                           std::memory_order_release);
   slots_.Publish();
-  const ItemHandle h = slots_.writer_size() - 1;
-  if (handles != nullptr) handles->push_back(h);
-  return h;
+  return slots_.writer_size() - 1;
 }
 
 Status LTreeStore::BulkLoadImpl(std::span<const LeafCookie> cookies,
                                 std::vector<ItemHandle>* handles) {
   std::vector<LTree::LeafHandle> fresh;
   LTREE_RETURN_IF_ERROR(tree_->BulkLoad(cookies, &fresh));
-  for (LTree::LeafHandle h : fresh) Register(h, handles);
+  for (LTree::LeafHandle leaf : fresh) {
+    const ItemHandle h = Register(leaf);
+    if (handles != nullptr) handles->push_back(h);
+  }
   AutoValidate("BulkLoad");
   return Status::OK();
 }
 
-Result<ItemHandle> LTreeStore::InsertAfterImpl(ItemHandle pos,
-                                               LeafCookie cookie) {
-  LTREE_ASSIGN_OR_RETURN(LTree::LeafHandle where, LiveHandle(pos));
-  LTREE_ASSIGN_OR_RETURN(LTree::LeafHandle fresh,
-                         tree_->InsertAfter(where, cookie));
-  const ItemHandle h = Register(fresh, nullptr);
-  AutoValidate("InsertAfter");
-  return h;
-}
-
-Result<ItemHandle> LTreeStore::InsertBeforeImpl(ItemHandle pos,
-                                                LeafCookie cookie) {
-  LTREE_ASSIGN_OR_RETURN(LTree::LeafHandle where, LiveHandle(pos));
-  LTREE_ASSIGN_OR_RETURN(LTree::LeafHandle fresh,
-                         tree_->InsertBefore(where, cookie));
-  const ItemHandle h = Register(fresh, nullptr);
-  AutoValidate("InsertBefore");
-  return h;
-}
-
-Result<ItemHandle> LTreeStore::PushBackImpl(LeafCookie cookie) {
-  LTREE_ASSIGN_OR_RETURN(LTree::LeafHandle fresh, tree_->PushBack(cookie));
-  const ItemHandle h = Register(fresh, nullptr);
-  AutoValidate("PushBack");
-  return h;
-}
-
-Result<ItemHandle> LTreeStore::PushFrontImpl(LeafCookie cookie) {
-  LTREE_ASSIGN_OR_RETURN(LTree::LeafHandle fresh, tree_->PushFront(cookie));
-  const ItemHandle h = Register(fresh, nullptr);
-  AutoValidate("PushFront");
-  return h;
-}
-
-Status LTreeStore::InsertBatchAfterImpl(ItemHandle pos,
-                                        std::span<const LeafCookie> cookies,
-                                        std::vector<ItemHandle>* handles) {
-  LTREE_ASSIGN_OR_RETURN(LTree::LeafHandle where, LiveHandle(pos));
-  std::vector<LTree::LeafHandle> fresh;
-  LTREE_RETURN_IF_ERROR(tree_->InsertBatchAfter(where, cookies, &fresh));
-  for (LTree::LeafHandle h : fresh) Register(h, handles);
-  AutoValidate("InsertBatchAfter");
-  return Status::OK();
-}
-
-Status LTreeStore::InsertBatchBeforeImpl(ItemHandle pos,
-                                         std::span<const LeafCookie> cookies,
-                                         std::vector<ItemHandle>* handles) {
-  LTREE_ASSIGN_OR_RETURN(LTree::LeafHandle where, LiveHandle(pos));
-  std::vector<LTree::LeafHandle> fresh;
-  LTREE_RETURN_IF_ERROR(tree_->InsertBatchBefore(where, cookies, &fresh));
-  for (LTree::LeafHandle h : fresh) Register(h, handles);
-  AutoValidate("InsertBatchBefore");
-  return Status::OK();
-}
-
-Status LTreeStore::PushBackBatchImpl(std::span<const LeafCookie> cookies,
-                                     std::vector<ItemHandle>* handles) {
-  std::vector<LTree::LeafHandle> fresh;
-  LTREE_RETURN_IF_ERROR(tree_->PushBackBatch(cookies, &fresh));
-  for (LTree::LeafHandle h : fresh) Register(h, handles);
-  AutoValidate("PushBackBatch");
-  return Status::OK();
+Result<ItemHandle> LTreeStore::InsertImpl(Where where, ItemHandle pos,
+                                          std::span<const LeafCookie> cookies) {
+  std::vector<LTree::LeafHandle>& fresh = fresh_scratch_;
+  fresh.clear();
+  if (where == Where::kBack) {
+    LTREE_RETURN_IF_ERROR(tree_->PushBackBatch(cookies, &fresh));
+  } else {
+    LTREE_ASSIGN_OR_RETURN(LTree::LeafHandle anchor, LiveHandle(pos));
+    const Status st = where == Where::kAfter
+                          ? tree_->InsertBatchAfter(anchor, cookies, &fresh)
+                          : tree_->InsertBatchBefore(anchor, cookies, &fresh);
+    LTREE_RETURN_IF_ERROR(st);
+  }
+  const ItemHandle first = slots_.writer_size();
+  for (LTree::LeafHandle leaf : fresh) Register(leaf);
+  AutoValidate("Insert");
+  return first;
 }
 
 Status LTreeStore::EraseImpl(ItemHandle h) {
@@ -289,91 +243,55 @@ void VirtualLTreeStore::Unreserve(uint64_t k) {
 }
 
 template <typename Op>
-Status VirtualLTreeStore::RunBatch(std::span<const LeafCookie> cookies,
-                                   std::vector<ItemHandle>* handles,
-                                   Op&& op) {
+Result<ItemHandle> VirtualLTreeStore::RunBatch(
+    std::span<const LeafCookie> cookies, Op&& op) {
   const ItemHandle first = Reserve(cookies);
-  std::vector<LeafCookie> tree_cookies(cookies.size());
-  std::iota(tree_cookies.begin(), tree_cookies.end(), first);
-  std::vector<Label> labels;
-  Status st = op(std::span<const LeafCookie>(tree_cookies), &labels);
+  tree_cookies_scratch_.resize(cookies.size());
+  std::iota(tree_cookies_scratch_.begin(), tree_cookies_scratch_.end(), first);
+  labels_scratch_.clear();
+  Status st = op(std::span<const LeafCookie>(tree_cookies_scratch_),
+                 &labels_scratch_);
   if (!st.ok()) {
     Unreserve(cookies.size());
     return st;
   }
-  for (size_t i = 0; i < labels.size(); ++i) {
-    slots_[first + i].label.store(labels[i]);
-    if (handles != nullptr) handles->push_back(first + i);
+  for (size_t i = 0; i < labels_scratch_.size(); ++i) {
+    slots_[first + i].label.store(labels_scratch_[i]);
   }
-  slots_.Publish();
-  AutoValidate("batch mutation");
-  return Status::OK();
-}
-
-template <typename Op>
-Result<ItemHandle> VirtualLTreeStore::RunSingle(LeafCookie cookie, Op&& op) {
-  const ItemHandle h = Reserve({&cookie, 1});
-  Result<Label> fresh = op(h);
-  if (!fresh.ok()) {
-    Unreserve(1);
-    return fresh.status();
-  }
-  slots_[h].label.store(*fresh);
   slots_.Publish();
   AutoValidate("insert");
-  return h;
+  return first;
 }
 
 Status VirtualLTreeStore::BulkLoadImpl(std::span<const LeafCookie> cookies,
                                        std::vector<ItemHandle>* handles) {
-  return RunBatch(cookies, handles, [&](auto tree_cookies, auto* labels) {
+  const auto load = [&](auto tree_cookies, auto* labels) {
     return tree_->BulkLoad(tree_cookies, labels);
-  });
+  };
+  LTREE_ASSIGN_OR_RETURN(const ItemHandle first, RunBatch(cookies, load));
+  if (handles != nullptr) {
+    for (ItemHandle h = first; h < first + cookies.size(); ++h) {
+      handles->push_back(h);
+    }
+  }
+  return Status::OK();
 }
 
-Result<ItemHandle> VirtualLTreeStore::InsertAfterImpl(ItemHandle pos,
-                                                      LeafCookie cookie) {
-  LTREE_ASSIGN_OR_RETURN(Label where, CurrentLabel(pos));
-  return RunSingle(cookie,
-                   [&](ItemHandle h) { return tree_->InsertAfter(where, h); });
-}
-
-Result<ItemHandle> VirtualLTreeStore::InsertBeforeImpl(ItemHandle pos,
-                                                       LeafCookie cookie) {
-  LTREE_ASSIGN_OR_RETURN(Label where, CurrentLabel(pos));
-  return RunSingle(cookie,
-                   [&](ItemHandle h) { return tree_->InsertBefore(where, h); });
-}
-
-Result<ItemHandle> VirtualLTreeStore::PushBackImpl(LeafCookie cookie) {
-  return RunSingle(cookie, [&](ItemHandle h) { return tree_->PushBack(h); });
-}
-
-Result<ItemHandle> VirtualLTreeStore::PushFrontImpl(LeafCookie cookie) {
-  return RunSingle(cookie, [&](ItemHandle h) { return tree_->PushFront(h); });
-}
-
-Status VirtualLTreeStore::InsertBatchAfterImpl(
-    ItemHandle pos, std::span<const LeafCookie> cookies,
-    std::vector<ItemHandle>* handles) {
-  LTREE_ASSIGN_OR_RETURN(Label where, CurrentLabel(pos));
-  return RunBatch(cookies, handles, [&](auto tree_cookies, auto* labels) {
-    return tree_->InsertBatchAfter(where, tree_cookies, labels);
-  });
-}
-
-Status VirtualLTreeStore::InsertBatchBeforeImpl(
-    ItemHandle pos, std::span<const LeafCookie> cookies,
-    std::vector<ItemHandle>* handles) {
-  LTREE_ASSIGN_OR_RETURN(Label where, CurrentLabel(pos));
-  return RunBatch(cookies, handles, [&](auto tree_cookies, auto* labels) {
-    return tree_->InsertBatchBefore(where, tree_cookies, labels);
-  });
-}
-
-Status VirtualLTreeStore::PushBackBatchImpl(
-    std::span<const LeafCookie> cookies, std::vector<ItemHandle>* handles) {
-  return RunBatch(cookies, handles, [&](auto tree_cookies, auto* labels) {
+Result<ItemHandle> VirtualLTreeStore::InsertImpl(
+    Where where, ItemHandle pos, std::span<const LeafCookie> cookies) {
+  Label anchor = kInvalidLabel;
+  if (where != Where::kBack) {
+    LTREE_ASSIGN_OR_RETURN(anchor, CurrentLabel(pos));
+  }
+  return RunBatch(cookies, [&](auto tree_cookies, auto* labels) {
+    switch (where) {
+      case Where::kAfter:
+        return tree_->InsertBatchAfter(anchor, tree_cookies, labels);
+      case Where::kBefore:
+        return tree_->InsertBatchBefore(anchor, tree_cookies, labels);
+      case Where::kBack:
+        break;
+    }
     return tree_->PushBackBatch(tree_cookies, labels);
   });
 }

@@ -70,20 +70,8 @@ class LTreeStore : public LabelStore, private RelabelListener {
  protected:
   Status BulkLoadImpl(std::span<const LeafCookie> cookies,
                       std::vector<ItemHandle>* handles) override;
-  Result<ItemHandle> InsertAfterImpl(ItemHandle pos,
-                                     LeafCookie cookie) override;
-  Result<ItemHandle> InsertBeforeImpl(ItemHandle pos,
-                                      LeafCookie cookie) override;
-  Result<ItemHandle> PushBackImpl(LeafCookie cookie) override;
-  Result<ItemHandle> PushFrontImpl(LeafCookie cookie) override;
-  Status InsertBatchAfterImpl(ItemHandle pos,
-                              std::span<const LeafCookie> cookies,
-                              std::vector<ItemHandle>* handles) override;
-  Status InsertBatchBeforeImpl(ItemHandle pos,
-                               std::span<const LeafCookie> cookies,
-                               std::vector<ItemHandle>* handles) override;
-  Status PushBackBatchImpl(std::span<const LeafCookie> cookies,
-                           std::vector<ItemHandle>* handles) override;
+  Result<ItemHandle> InsertImpl(Where where, ItemHandle pos,
+                                std::span<const LeafCookie> cookies) override;
   Status EraseImpl(ItemHandle h) override;
   // GetLabel/GetCookie read only the atomic slot table and atomic leaf
   // fields, so the guard-based LabelOf/CookieOf/CompareOrder, which call
@@ -96,8 +84,7 @@ class LTreeStore : public LabelStore, private RelabelListener {
   explicit LTreeStore(std::unique_ptr<LTree> tree);
   void OnRelabel(LeafCookie cookie, Label old_label, Label new_label) override;
   Result<LTree::LeafHandle> LiveHandle(ItemHandle h) const;
-  ItemHandle Register(LTree::LeafHandle handle,
-                      std::vector<ItemHandle>* handles);
+  ItemHandle Register(LTree::LeafHandle handle);
 
   /// Low bit of a slot word. Leaves sit on 32-byte slot boundaries
   /// (LeafArena::kSlotStride), so the pointer's low bit is free for the
@@ -112,6 +99,8 @@ class LTreeStore : public LabelStore, private RelabelListener {
   /// Reclamation domain for leaves purged by tree_ (mutable: handed out
   /// from the const epoch_manager() accessor; Pin/Unpin are thread-safe).
   mutable epoch::EpochManager epoch_;
+  /// InsertImpl's fresh-leaf buffer, reused so inserts stay allocation-free.
+  std::vector<LTree::LeafHandle> fresh_scratch_;
 };
 
 /// Virtual L-Tree behind the LabelStore interface: no stable positions
@@ -156,20 +145,8 @@ class VirtualLTreeStore : public LabelStore, private RelabelListener {
  protected:
   Status BulkLoadImpl(std::span<const LeafCookie> cookies,
                       std::vector<ItemHandle>* handles) override;
-  Result<ItemHandle> InsertAfterImpl(ItemHandle pos,
-                                     LeafCookie cookie) override;
-  Result<ItemHandle> InsertBeforeImpl(ItemHandle pos,
-                                      LeafCookie cookie) override;
-  Result<ItemHandle> PushBackImpl(LeafCookie cookie) override;
-  Result<ItemHandle> PushFrontImpl(LeafCookie cookie) override;
-  Status InsertBatchAfterImpl(ItemHandle pos,
-                              std::span<const LeafCookie> cookies,
-                              std::vector<ItemHandle>* handles) override;
-  Status InsertBatchBeforeImpl(ItemHandle pos,
-                               std::span<const LeafCookie> cookies,
-                               std::vector<ItemHandle>* handles) override;
-  Status PushBackBatchImpl(std::span<const LeafCookie> cookies,
-                           std::vector<ItemHandle>* handles) override;
+  Result<ItemHandle> InsertImpl(Where where, ItemHandle pos,
+                                std::span<const LeafCookie> cookies) override;
   Status EraseImpl(ItemHandle h) override;
   void SnapshotImpl(
       std::vector<std::pair<Label, LeafCookie>>* out) const override;
@@ -190,22 +167,23 @@ class VirtualLTreeStore : public LabelStore, private RelabelListener {
   void OnRelabel(LeafCookie cookie, Label old_label, Label new_label) override;
   Result<Label> CurrentLabel(ItemHandle h) const;
   /// Reserves unpublished slots for k fresh items; returns the first new
-  /// handle. Published by the Run* helpers only after the labels landed.
+  /// handle. Published by RunBatch only after the labels landed.
   ItemHandle Reserve(std::span<const LeafCookie> cookies);
   void Unreserve(uint64_t k);
   /// Shared reserve -> run tree op (fed the reserved handles as tree
   /// cookies) -> record labels / roll back plumbing behind every insert.
+  /// Returns the first new handle.
   template <typename Op>
-  Status RunBatch(std::span<const LeafCookie> cookies,
-                  std::vector<ItemHandle>* handles, Op&& op);
-  template <typename Op>
-  Result<ItemHandle> RunSingle(LeafCookie cookie, Op&& op);
+  Result<ItemHandle> RunBatch(std::span<const LeafCookie> cookies, Op&& op);
 
   std::unique_ptr<VirtualLTree> tree_;
   ConcurrentSlotTable<VSlot> slots_;  // handle -> (label, cookie, erased)
   /// Reclamation domain for the backing B+-tree's freed nodes (mutable:
   /// handed out from the const epoch_manager() accessor).
   mutable epoch::EpochManager epoch_;
+  /// RunBatch's tree-cookie and label buffers, reused across inserts.
+  std::vector<LeafCookie> tree_cookies_scratch_;
+  std::vector<Label> labels_scratch_;
 };
 
 }  // namespace listlab

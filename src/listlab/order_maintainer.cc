@@ -1,6 +1,5 @@
 #include "listlab/order_maintainer.h"
 
-#include <functional>
 #include <numeric>
 #include <shared_mutex>
 
@@ -31,45 +30,17 @@ Status LabelStore::BulkLoad(std::span<const LeafCookie> cookies,
   return BulkLoadImpl(cookies, handles);
 }
 
-Result<ItemHandle> LabelStore::InsertAfter(ItemHandle pos, LeafCookie cookie) {
+Result<ItemHandle> LabelStore::Insert(Where where, ItemHandle pos,
+                                      std::span<const LeafCookie> cookies,
+                                      std::vector<ItemHandle>* handles) {
   WriteSection section(this);
-  return InsertAfterImpl(pos, cookie);
-}
-
-Result<ItemHandle> LabelStore::InsertBefore(ItemHandle pos,
-                                            LeafCookie cookie) {
-  WriteSection section(this);
-  return InsertBeforeImpl(pos, cookie);
-}
-
-Result<ItemHandle> LabelStore::PushBack(LeafCookie cookie) {
-  WriteSection section(this);
-  return PushBackImpl(cookie);
-}
-
-Result<ItemHandle> LabelStore::PushFront(LeafCookie cookie) {
-  WriteSection section(this);
-  return PushFrontImpl(cookie);
-}
-
-Status LabelStore::InsertBatchAfter(ItemHandle pos,
-                                    std::span<const LeafCookie> cookies,
-                                    std::vector<ItemHandle>* handles) {
-  WriteSection section(this);
-  return InsertBatchAfterImpl(pos, cookies, handles);
-}
-
-Status LabelStore::InsertBatchBefore(ItemHandle pos,
-                                     std::span<const LeafCookie> cookies,
-                                     std::vector<ItemHandle>* handles) {
-  WriteSection section(this);
-  return InsertBatchBeforeImpl(pos, cookies, handles);
-}
-
-Status LabelStore::PushBackBatch(std::span<const LeafCookie> cookies,
-                                 std::vector<ItemHandle>* handles) {
-  WriteSection section(this);
-  return PushBackBatchImpl(cookies, handles);
+  Result<ItemHandle> first = InsertImpl(where, pos, cookies);
+  if (first.ok() && handles != nullptr) {
+    for (ItemHandle h = *first; h < *first + cookies.size(); ++h) {
+      handles->push_back(h);
+    }
+  }
+  return first;
 }
 
 Status LabelStore::Erase(ItemHandle h) {
@@ -148,90 +119,6 @@ std::vector<std::pair<Label, LeafCookie>> LabelStore::ScanAll(
     SnapshotImpl(&out);
   }
   return out;
-}
-
-// --------------------------------------------------------------------------
-// Default batch paths: per-item insertion, preserving batch order. Schemes
-// with a native single-rebalance batch (the L-Tree variants) override.
-// A batch is all-or-nothing: on a mid-batch failure the already inserted
-// items are erased again, so callers never see a half-applied batch.
-// --------------------------------------------------------------------------
-
-namespace {
-
-Status FinishBatch(Status st, std::vector<ItemHandle>&& fresh,
-                   std::vector<ItemHandle>* handles,
-                   const std::function<Status(ItemHandle)>& erase) {
-  if (!st.ok()) {
-    for (auto it = fresh.rbegin(); it != fresh.rend(); ++it) {
-      (void)erase(*it);
-    }
-    return st;
-  }
-  if (handles != nullptr) {
-    handles->insert(handles->end(), fresh.begin(), fresh.end());
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
-Status LabelStore::InsertBatchAfterImpl(ItemHandle pos,
-                                        std::span<const LeafCookie> cookies,
-                                        std::vector<ItemHandle>* handles) {
-  std::vector<ItemHandle> fresh;
-  Status st = Status::OK();
-  ItemHandle anchor = pos;
-  for (const LeafCookie cookie : cookies) {
-    auto h = InsertAfterImpl(anchor, cookie);
-    if (!h.ok()) {
-      st = h.status();
-      break;
-    }
-    anchor = *h;
-    fresh.push_back(anchor);
-  }
-  return FinishBatch(std::move(st), std::move(fresh), handles,
-                     [this](ItemHandle h) { return EraseImpl(h); });
-}
-
-Status LabelStore::InsertBatchBeforeImpl(ItemHandle pos,
-                                         std::span<const LeafCookie> cookies,
-                                         std::vector<ItemHandle>* handles) {
-  if (cookies.empty()) return Status::OK();
-  std::vector<ItemHandle> fresh;
-  Status st = Status::OK();
-  auto first = InsertBeforeImpl(pos, cookies[0]);
-  if (!first.ok()) return first.status();
-  ItemHandle anchor = *first;
-  fresh.push_back(anchor);
-  for (const LeafCookie cookie : cookies.subspan(1)) {
-    auto h = InsertAfterImpl(anchor, cookie);
-    if (!h.ok()) {
-      st = h.status();
-      break;
-    }
-    anchor = *h;
-    fresh.push_back(anchor);
-  }
-  return FinishBatch(std::move(st), std::move(fresh), handles,
-                     [this](ItemHandle h) { return EraseImpl(h); });
-}
-
-Status LabelStore::PushBackBatchImpl(std::span<const LeafCookie> cookies,
-                                     std::vector<ItemHandle>* handles) {
-  std::vector<ItemHandle> fresh;
-  Status st = Status::OK();
-  for (const LeafCookie cookie : cookies) {
-    auto h = PushBackImpl(cookie);
-    if (!h.ok()) {
-      st = h.status();
-      break;
-    }
-    fresh.push_back(*h);
-  }
-  return FinishBatch(std::move(st), std::move(fresh), handles,
-                     [this](ItemHandle h) { return EraseImpl(h); });
 }
 
 }  // namespace listlab

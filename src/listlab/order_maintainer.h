@@ -21,6 +21,16 @@
 // edits — can run unchanged over any scheme. Construct stores by spec
 // string via listlab::MakeLabelStore (factory.h).
 //
+// ## Inserting
+//
+// Every insert goes through one entry point, Insert(where, pos, cookies):
+// k consecutive items right after or before the anchor `pos`, or at the
+// end of the list (Where::kBack). As in the paper, where a single insert
+// (Section 2.3, Algorithm 1) is the Section 4.1 batch insert with k = 1,
+// there is no separate single-item path: InsertAfter, InsertBefore,
+// PushBack and their batch forms are one-line wrappers, and each scheme
+// implements the one InsertImpl hook.
+//
 // ## Erase semantics
 //
 // Erase(h) removes the item from the order; the handle becomes invalid and
@@ -103,6 +113,13 @@ using ItemHandle = uint64_t;
 /// Never a valid handle.
 inline constexpr ItemHandle kInvalidItemHandle = ~ItemHandle{0};
 
+/// Where LabelStore::Insert puts its items, relative to the anchor `pos`.
+enum class Where {
+  kAfter,   ///< right after `pos`
+  kBefore,  ///< right before `pos`
+  kBack,    ///< at the end of the list; `pos` is ignored
+};
+
 /// How Erase treats the label slot (see the header comment).
 enum class EraseSemantics {
   kTombstone,       ///< slot stays occupied forever (L-Tree default)
@@ -146,29 +163,45 @@ class LabelStore {
   // planning; keep one writer per store (e.g. one writer thread, or the
   // DocumentStore's per-shard writer lock).
 
-  Result<ItemHandle> InsertAfter(ItemHandle pos, LeafCookie cookie);
-  Result<ItemHandle> InsertBefore(ItemHandle pos, LeafCookie cookie);
+  /// The one insert path: inserts `cookies.size()` consecutive items right
+  /// after (kAfter) or before (kBefore) the live item `pos`, or at the end
+  /// of the list (kBack; `pos` is ignored, works on an empty store). The
+  /// two L-Tree variants splice all k leaves and rebalance once (Section
+  /// 4.1); the linked-list schemes place them one by one.
+  ///
+  /// All-or-nothing: `pos` is resolved first, so an unknown or erased
+  /// anchor fails with NotFound even for an empty span, and a mid-batch
+  /// failure erases the partial prefix before returning the error. On
+  /// success returns the first of `cookies.size()` consecutive new handles
+  /// (for an empty span, the handle the next insert will get) and appends
+  /// all of them to `handles` if non-null.
+  Result<ItemHandle> Insert(Where where, ItemHandle pos,
+                            std::span<const LeafCookie> cookies,
+                            std::vector<ItemHandle>* handles = nullptr);
+
+  Result<ItemHandle> InsertAfter(ItemHandle pos, LeafCookie cookie) {
+    return Insert(Where::kAfter, pos, {&cookie, 1});
+  }
+  Result<ItemHandle> InsertBefore(ItemHandle pos, LeafCookie cookie) {
+    return Insert(Where::kBefore, pos, {&cookie, 1});
+  }
   /// Works on an empty store.
-  Result<ItemHandle> PushBack(LeafCookie cookie);
-  Result<ItemHandle> PushFront(LeafCookie cookie);
-
-  /// Inserts `cookies.size()` consecutive items right after `pos` (the
-  /// paper's Section 4.1 bulk insertion). Appends the new handles to
-  /// `handles` if non-null. Schemes with a native batch path (the two
-  /// L-Tree variants) pay a single rebalance; the base-class default falls
-  /// back to per-item insertion with identical final order. Batches are
-  /// all-or-nothing: a mid-batch failure erases the partial prefix before
-  /// returning the error.
+  Result<ItemHandle> PushBack(LeafCookie cookie) {
+    return Insert(Where::kBack, kInvalidItemHandle, {&cookie, 1});
+  }
   Status InsertBatchAfter(ItemHandle pos, std::span<const LeafCookie> cookies,
-                          std::vector<ItemHandle>* handles = nullptr);
-
-  /// Batch insertion immediately before `pos`.
+                          std::vector<ItemHandle>* handles = nullptr) {
+    return Insert(Where::kAfter, pos, cookies, handles).status();
+  }
   Status InsertBatchBefore(ItemHandle pos, std::span<const LeafCookie> cookies,
-                           std::vector<ItemHandle>* handles = nullptr);
-
-  /// Appends a batch at the end (works on an empty store).
+                           std::vector<ItemHandle>* handles = nullptr) {
+    return Insert(Where::kBefore, pos, cookies, handles).status();
+  }
+  /// Works on an empty store.
   Status PushBackBatch(std::span<const LeafCookie> cookies,
-                       std::vector<ItemHandle>* handles = nullptr);
+                       std::vector<ItemHandle>* handles = nullptr) {
+    return Insert(Where::kBack, kInvalidItemHandle, cookies, handles).status();
+  }
 
   /// Removes an item from the order (see "Erase semantics" above). Fails
   /// with NotFound for a handle the store never issued and with
@@ -286,21 +319,10 @@ class LabelStore {
 
   virtual Status BulkLoadImpl(std::span<const LeafCookie> cookies,
                               std::vector<ItemHandle>* handles) = 0;
-  virtual Result<ItemHandle> InsertAfterImpl(ItemHandle pos,
-                                             LeafCookie cookie) = 0;
-  virtual Result<ItemHandle> InsertBeforeImpl(ItemHandle pos,
-                                              LeafCookie cookie) = 0;
-  virtual Result<ItemHandle> PushBackImpl(LeafCookie cookie) = 0;
-  virtual Result<ItemHandle> PushFrontImpl(LeafCookie cookie) = 0;
-  /// Default: per-item loop over InsertAfterImpl (+ rollback on failure).
-  virtual Status InsertBatchAfterImpl(ItemHandle pos,
-                                      std::span<const LeafCookie> cookies,
-                                      std::vector<ItemHandle>* handles);
-  virtual Status InsertBatchBeforeImpl(ItemHandle pos,
-                                       std::span<const LeafCookie> cookies,
-                                       std::vector<ItemHandle>* handles);
-  virtual Status PushBackBatchImpl(std::span<const LeafCookie> cookies,
-                                   std::vector<ItemHandle>* handles);
+  /// Insert's body (see Insert for the contract); returns the first new
+  /// handle and leaves appending the rest to the wrapper.
+  virtual Result<ItemHandle> InsertImpl(
+      Where where, ItemHandle pos, std::span<const LeafCookie> cookies) = 0;
   virtual Status EraseImpl(ItemHandle h) = 0;
 
   /// (label, cookie) of every live item in list order; called with the

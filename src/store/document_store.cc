@@ -142,51 +142,52 @@ void DocumentStore::PublishInsert(ShardCtx& ctx, LeafCookie cookie,
   ++ledger_.inserts;
 }
 
-Result<LeafCookie> DocumentStore::InsertOne(DocId doc, uint64_t rank,
-                                            bool before, bool append) {
+Result<LeafCookie> DocumentStore::InsertOne(DocId doc, listlab::Where where,
+                                            uint64_t rank) {
   LTREE_FAILPOINT("store.insert");
   LTREE_ASSIGN_OR_RETURN(DocState * state, FindDoc(doc));
   ShardCtx& ctx = *shards_[state->shard];
+  const uint64_t size = state->items.size();
+  // Document position -> shard-list position. A document's first item
+  // goes to the shard list's tail — documents sharing a shard interleave
+  // there, which is fine, document order lives in the registry.
+  listlab::ItemHandle pos = listlab::kInvalidItemHandle;
+  size_t at = 0;
+  if (size == 0) {
+    where = listlab::Where::kBack;
+  } else if (where == listlab::Where::kBack) {
+    where = listlab::Where::kAfter;
+    pos = state->items.back();
+    at = size;
+  } else if (rank >= size) {
+    return Status::OutOfRange("rank " + std::to_string(rank) +
+                              " out of range for document of size " +
+                              std::to_string(size));
+  } else {
+    pos = state->items[rank];
+    at = where == listlab::Where::kBefore ? rank : rank + 1;
+  }
   const LeafCookie cookie = next_cookie_;
-  Result<listlab::ItemHandle> inserted = [&]() -> Result<listlab::ItemHandle> {
-    if (state->items.empty()) {
-      // First item: append to the shard list's tail — documents sharing a
-      // shard interleave there, which is fine, document order lives in the
-      // registry.
-      return ctx.store->PushBack(cookie);
-    }
-    if (append) return ctx.store->InsertAfter(state->items.back(), cookie);
-    if (rank >= state->items.size()) {
-      return Status::OutOfRange("rank " + std::to_string(rank) +
-                                " out of range for document of size " +
-                                std::to_string(state->items.size()));
-    }
-    return before ? ctx.store->InsertBefore(state->items[rank], cookie)
-                  : ctx.store->InsertAfter(state->items[rank], cookie);
-  }();
-  LTREE_RETURN_IF_ERROR(inserted.status());
+  LTREE_ASSIGN_OR_RETURN(const listlab::ItemHandle inserted,
+                         ctx.store->Insert(where, pos, {&cookie, 1}));
   ++next_cookie_;
-  const size_t at = state->items.empty() ? 0
-                    : append              ? state->items.size()
-                    : before              ? rank
-                                          : rank + 1;
   state->items.insert(state->items.begin() + static_cast<ptrdiff_t>(at),
-                      *inserted);
-  PublishInsert(ctx, cookie, *inserted);
+                      inserted);
+  PublishInsert(ctx, cookie, inserted);
   AutoValidate("Insert");
   return cookie;
 }
 
 Result<LeafCookie> DocumentStore::Append(DocId doc) {
-  return InsertOne(doc, 0, /*before=*/false, /*append=*/true);
+  return InsertOne(doc, listlab::Where::kBack, 0);
 }
 
 Result<LeafCookie> DocumentStore::InsertAfterRank(DocId doc, uint64_t rank) {
-  return InsertOne(doc, rank, /*before=*/false, /*append=*/false);
+  return InsertOne(doc, listlab::Where::kAfter, rank);
 }
 
 Result<LeafCookie> DocumentStore::InsertBeforeRank(DocId doc, uint64_t rank) {
-  return InsertOne(doc, rank, /*before=*/true, /*append=*/false);
+  return InsertOne(doc, listlab::Where::kBefore, rank);
 }
 
 Status DocumentStore::InsertBatchAfterRank(DocId doc, uint64_t rank,

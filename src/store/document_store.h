@@ -254,10 +254,10 @@ class DocumentStore {
 
   Result<DocState*> FindDoc(DocId doc);
   Result<const DocState*> FindDoc(DocId doc) const;
-  /// Shared single-insert plumbing: position resolution, cookie
-  /// assignment, registry update, feed publication.
-  Result<LeafCookie> InsertOne(DocId doc, uint64_t rank, bool before,
-                               bool append);
+  /// Shared single-insert plumbing: position resolution (kBack appends at
+  /// the document's tail and ignores `rank`), cookie assignment, registry
+  /// update, feed publication.
+  Result<LeafCookie> InsertOne(DocId doc, listlab::Where where, uint64_t rank);
   void PublishInsert(ShardCtx& ctx, LeafCookie cookie,
                      listlab::ItemHandle handle);
   // Feed continuity + shard-routing + stats-rollup, without the per-shard

@@ -327,7 +327,7 @@ Status VirtualLTree::RebuildWithPending(uint32_t vh, Label anchor,
 
 Status VirtualLTree::InsertCore(Label parent_base, uint64_t j,
                                 std::span<const LeafCookie> cookies,
-                                std::vector<Label>* labels, bool is_batch) {
+                                std::vector<Label>* labels) {
   const uint64_t k = cookies.size();
   if (k == 0) return Status::OK();
   LTREE_RETURN_IF_ERROR(EnsureCapacityFor(k));
@@ -385,7 +385,6 @@ Status VirtualLTree::InsertCore(Label parent_base, uint64_t j,
   }
 
   live_leaves_ += k;
-  if (is_batch) ++stats_.batch_inserts;
   stats_.inserts += k;
   if (labels != nullptr) {
     labels->insert(labels->end(), fresh.begin(), fresh.end());
@@ -397,46 +396,24 @@ Status VirtualLTree::InsertCore(Label parent_base, uint64_t j,
 // Public update entry points
 // --------------------------------------------------------------------------
 
+// The single-leaf forms are the k = 1 batches.
+
 Result<Label> VirtualLTree::InsertAfter(Label prev, LeafCookie cookie) {
-  if (!btree_.Contains(prev)) {
-    return Status::NotFound("no leaf with the given label");
-  }
   std::vector<Label> out;
-  const LeafCookie cookies[1] = {cookie};
-  LTREE_RETURN_IF_ERROR(InsertCore(TruncTo(prev, 1), DigitAt(prev, 0) + 1,
-                                   cookies, &out, /*is_batch=*/false));
+  LTREE_RETURN_IF_ERROR(InsertBatchAfter(prev, {&cookie, 1}, &out));
   return out[0];
 }
 
 Result<Label> VirtualLTree::InsertBefore(Label next, LeafCookie cookie) {
-  if (!btree_.Contains(next)) {
-    return Status::NotFound("no leaf with the given label");
-  }
   std::vector<Label> out;
-  const LeafCookie cookies[1] = {cookie};
-  LTREE_RETURN_IF_ERROR(InsertCore(TruncTo(next, 1), DigitAt(next, 0),
-                                   cookies, &out, /*is_batch=*/false));
+  LTREE_RETURN_IF_ERROR(InsertBatchBefore(next, {&cookie, 1}, &out));
   return out[0];
 }
 
 Result<Label> VirtualLTree::PushBack(LeafCookie cookie) {
-  if (btree_.size() == 0) {
-    std::vector<Label> out;
-    const LeafCookie cookies[1] = {cookie};
-    LTREE_RETURN_IF_ERROR(InsertCore(0, 0, cookies, &out,
-                                     /*is_batch=*/false));
-    return out[0];
-  }
-  auto last = btree_.Predecessor(std::numeric_limits<Label>::max());
-  LTREE_CHECK(last.ok());
-  return InsertAfter(last->key, cookie);
-}
-
-Result<Label> VirtualLTree::PushFront(LeafCookie cookie) {
-  if (btree_.size() == 0) return PushBack(cookie);
-  auto first = btree_.LowerBound(0);
-  LTREE_CHECK(first.ok());
-  return InsertBefore(first->key, cookie);
+  std::vector<Label> out;
+  LTREE_RETURN_IF_ERROR(PushBackBatch({&cookie, 1}, &out));
+  return out[0];
 }
 
 Status VirtualLTree::InsertBatchAfter(Label prev,
@@ -445,8 +422,7 @@ Status VirtualLTree::InsertBatchAfter(Label prev,
   if (!btree_.Contains(prev)) {
     return Status::NotFound("no leaf with the given label");
   }
-  return InsertCore(TruncTo(prev, 1), DigitAt(prev, 0) + 1, cookies, labels,
-                    /*is_batch=*/true);
+  return InsertCore(TruncTo(prev, 1), DigitAt(prev, 0) + 1, cookies, labels);
 }
 
 Status VirtualLTree::InsertBatchBefore(Label next,
@@ -455,14 +431,13 @@ Status VirtualLTree::InsertBatchBefore(Label next,
   if (!btree_.Contains(next)) {
     return Status::NotFound("no leaf with the given label");
   }
-  return InsertCore(TruncTo(next, 1), DigitAt(next, 0), cookies, labels,
-                    /*is_batch=*/true);
+  return InsertCore(TruncTo(next, 1), DigitAt(next, 0), cookies, labels);
 }
 
 Status VirtualLTree::PushBackBatch(std::span<const LeafCookie> cookies,
                                    std::vector<Label>* labels) {
   if (btree_.size() == 0) {
-    return InsertCore(0, 0, cookies, labels, /*is_batch=*/true);
+    return InsertCore(0, 0, cookies, labels);
   }
   auto last = btree_.Predecessor(std::numeric_limits<Label>::max());
   LTREE_CHECK(last.ok());
@@ -533,72 +508,77 @@ uint64_t VirtualLTree::ApproxMemoryBytes() const {
 // Invariants
 // --------------------------------------------------------------------------
 
-namespace {
-struct IntervalFrame {
-  Label base;
-  uint32_t height;
-};
-}  // namespace
-
 audit::Report VirtualLTree::Validate() const {
   audit::Report report = btree_.Validate();
-  // Tombstone accounting: live counter vs. the actual non-deleted entries.
+  // One pass over the slots in label order checks every rule. Per height it
+  // keeps the open virtual node: its interval base, slot count and last
+  // occupied child digit — O(n * H), no range-count probes.
+  struct OpenNode {
+    Label base = 0;
+    /// Slots seen in the node; 0 while no node is open at this height.
+    uint64_t count = 0;
+    /// Last occupied child digit; starts at ~0 so that +1 wraps to 0.
+    uint64_t last_digit = ~uint64_t{0};
+    bool gap_seen = false;
+  };
+  std::vector<OpenNode> open(height_ + 1);
+  const auto node_path = [](uint32_t h, Label base) {
+    return StrFormat("virtual:/h%u@%llu", h,
+                     static_cast<unsigned long long>(base));
+  };
+  const auto close = [&](uint32_t h) {
+    const OpenNode& node = open[h];
+    if (node.count >= powers_.LeafBudget(h)) {
+      report.Add(node_path(h, node.base), "leaf-budget",
+                 StrFormat("virtual node holds %llu >= budget %llu",
+                           static_cast<unsigned long long>(node.count),
+                           static_cast<unsigned long long>(
+                               powers_.LeafBudget(h))));
+    }
+  };
+  const Label space = label_space();
   uint64_t live = 0;
+  Label last_key = 0;
   for (const obtree::Entry& e : btree_.ScanAll()) {
     if (!UnpackDeleted(e.value)) ++live;
+    last_key = e.key;
+    if (e.key >= space) continue;  // reported once below
+    for (uint32_t h = height_; h >= 1; --h) {
+      OpenNode& node = open[h];
+      const Label base = TruncTo(e.key, h);
+      if (node.count == 0 || node.base != base) {
+        if (node.count != 0) close(h);
+        node = OpenNode{.base = base};
+      }
+      ++node.count;
+      // Occupied child digits must form a consecutive prefix 0..c-1.
+      const uint64_t digit = DigitAt(e.key, h - 1);
+      if (digit == node.last_digit) continue;
+      if (digit != node.last_digit + 1) node.gap_seen = true;
+      if (node.gap_seen) {
+        report.Add(node_path(h, base), "child-gap",
+                   StrFormat("occupied child digit %llu follows an empty one",
+                             static_cast<unsigned long long>(digit)));
+      }
+      node.last_digit = digit;
+    }
   }
+  for (uint32_t h = 1; h <= height_; ++h) {
+    if (open[h].count != 0) close(h);
+  }
+  // Tombstone accounting: live counter vs. the actual non-deleted entries.
   if (live != live_leaves_) {
     report.Add("virtual:/", "live-count",
                StrFormat("num_live_leaves() %llu != actual live slots %llu",
                          static_cast<unsigned long long>(live_leaves_),
                          static_cast<unsigned long long>(live)));
   }
-  if (btree_.size() == 0) return report;
   // Every label fits the current label space.
-  auto last = btree_.Predecessor(std::numeric_limits<Label>::max());
-  if (last.ok() && last->key >= label_space()) {
+  if (btree_.size() != 0 && last_key >= space) {
     report.Add("virtual:/", "label-space",
                StrFormat("label %llu outside the current label space %llu",
-                         static_cast<unsigned long long>(last->key),
-                         static_cast<unsigned long long>(label_space())));
-  }
-  std::vector<IntervalFrame> stack{{0, height_}};
-  while (!stack.empty()) {
-    const IntervalFrame frame = stack.back();
-    stack.pop_back();
-    const std::string path =
-        StrFormat("virtual:/h%u@%llu", frame.height,
-                  static_cast<unsigned long long>(frame.base));
-    const uint64_t width = powers_.PowF1(frame.height);
-    const uint64_t count = btree_.RangeCount(frame.base, frame.base + width);
-    if (count == 0) continue;
-    if (frame.height == 0) continue;  // single slot
-    if (count >= powers_.LeafBudget(frame.height)) {
-      report.Add(path, "leaf-budget",
-                 StrFormat("virtual node holds %llu >= budget %llu",
-                           static_cast<unsigned long long>(count),
-                           static_cast<unsigned long long>(
-                               powers_.LeafBudget(frame.height))));
-    }
-    // Occupied child digits must form a consecutive prefix 0..c-1.
-    const uint64_t child_width = powers_.PowF1(frame.height - 1);
-    bool gap_seen = false;
-    for (uint64_t g = 0; g <= params_.f; ++g) {
-      const Label child_base = frame.base + g * child_width;
-      const uint64_t child_count =
-          btree_.RangeCount(child_base, child_base + child_width);
-      if (child_count == 0) {
-        gap_seen = true;
-        continue;
-      }
-      if (gap_seen) {
-        report.Add(path, "child-gap",
-                   StrFormat("occupied child digit %llu follows an empty "
-                             "one",
-                             static_cast<unsigned long long>(g)));
-      }
-      stack.push_back({child_base, frame.height - 1});
-    }
+                         static_cast<unsigned long long>(last_key),
+                         static_cast<unsigned long long>(space)));
   }
   return report;
 }

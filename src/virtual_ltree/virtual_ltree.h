@@ -62,9 +62,6 @@ class VirtualLTree {
   /// Appends after the largest label (valid on an empty structure).
   Result<Label> PushBack(LeafCookie cookie);
 
-  /// Prepends before the smallest label (valid on an empty structure).
-  Result<Label> PushFront(LeafCookie cookie);
-
   /// Batch insertion (Section 4.1) after the leaf labeled `prev`. New labels
   /// are appended to `labels` if non-null. NOTE: the new labels are the
   /// post-rebalance ones.
@@ -138,6 +135,8 @@ class VirtualLTree {
   audit::Report Validate() const;
 
  private:
+  friend class VirtualLTreeTestPeer;  // plants raw entries for negative tests
+
   VirtualLTree(const Params& params, PowerTable powers);
 
   /// Truncates label x to the base of its height-h virtual ancestor.
@@ -149,7 +148,7 @@ class VirtualLTree {
   /// virtual node based at P (existing children at >= j shift right).
   Status InsertCore(Label parent_base, uint64_t j,
                     std::span<const LeafCookie> cookies,
-                    std::vector<Label>* labels, bool is_batch);
+                    std::vector<Label>* labels);
 
   Status EnsureCapacityFor(uint64_t k) const;
 

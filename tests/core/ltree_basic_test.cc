@@ -144,10 +144,11 @@ TEST(LTreeInsertTest, PushBackIntoEmptyTree) {
 }
 
 TEST(LTreeInsertTest, PushFrontIntoEmptyAndNonEmpty) {
+  // Front insertion: PushBack on the empty tree, then InsertBefore(first).
   auto tree = LTree::Create(Params{.f = 4, .s = 2}).ValueOrDie();
-  auto h0 = tree->PushFront(1);
+  auto h0 = tree->PushBack(1);
   ASSERT_TRUE(h0.ok());
-  auto h1 = tree->PushFront(2);
+  auto h1 = tree->InsertBefore(tree->FirstLeaf(), 2);
   ASSERT_TRUE(h1.ok());
   EXPECT_LT(tree->label(*h1), tree->label(*h0));
   size_t count = 0;

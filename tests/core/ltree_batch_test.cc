@@ -24,7 +24,7 @@ TEST(LTreeBatchTest, EmptyBatchIsNoop) {
   ASSERT_TRUE(tree->BulkLoad(MakeCookies(4), &handles).ok());
   ASSERT_TRUE(tree->InsertBatchAfter(handles[0], {}).ok());
   EXPECT_EQ(tree->num_slots(), 4u);
-  EXPECT_EQ(tree->stats().batch_inserts, 0u);
+  EXPECT_EQ(tree->stats().relabel_passes, 0u);
 }
 
 TEST(LTreeBatchTest, OrderAndCountsAfterBatch) {

@@ -127,14 +127,14 @@ TEST(LabeledDocumentTest, FragmentInsertIsOneBatch) {
       LabeledDocument::FromXml("<site><books/></site>", kScheme)
           .MoveValueUnsafe();
   const xml::Node* books = store->document().root()->first_child;
-  const uint64_t batches_before =
-      store->label_store().stats().batch_inserts;
+  const uint64_t passes_before =
+      store->label_store().stats().relabel_passes;
   auto frag = store->InsertFragment(
       books->id, 0,
       "<book id=\"b1\"><title>T</title><chapter><para>p</para></chapter>"
       "</book>");
   ASSERT_TRUE(frag.ok());
-  EXPECT_EQ(store->label_store().stats().batch_inserts, batches_before + 1)
+  EXPECT_EQ(store->label_store().stats().relabel_passes, passes_before + 1)
       << "the whole fragment enters as a single Section 4.1 batch";
   EXPECT_TRUE(store->CheckConsistency().ok());
   // The fragment is queryable immediately.

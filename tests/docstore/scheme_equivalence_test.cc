@@ -142,7 +142,6 @@ TEST(SchemeStatsFidelityTest, MaterializedAndVirtualAgreeOnCostStats) {
   const MaintStats ms = mat->label_store().stats();
   const MaintStats vs = virt->label_store().stats();
   EXPECT_EQ(ms.inserts, vs.inserts);
-  EXPECT_EQ(ms.batch_inserts, vs.batch_inserts);
   EXPECT_EQ(ms.items_relabeled, vs.items_relabeled);
   EXPECT_EQ(ms.rebalances, vs.rebalances);
   // The plan/apply pipeline runs the same coalescing decision on both
@@ -167,8 +166,8 @@ TEST(SchemeStatsFidelityTest, MaterializedAndVirtualAgreeOnCostStats) {
 // Batch edge cases, uniformly across every scheme family: the LabelStore
 // batch contract (empty batches, head insertion, batches into an empty
 // store, and the all-or-nothing failure guarantee) must hold whether the
-// scheme has a native batch path (the L-Tree variants, now plan/apply) or
-// rides the per-item fallback.
+// scheme splices the batch with one rebalance (the L-Tree variants, via
+// plan/apply) or places it item by item (the linked-list schemes).
 // ---------------------------------------------------------------------------
 
 class BatchEdgeCaseTest : public ::testing::TestWithParam<const char*> {};
@@ -185,7 +184,7 @@ TEST_P(BatchEdgeCaseTest, EmptyBatchIsNoopEverywhere) {
   EXPECT_EQ(store->size(), 8u);
   EXPECT_EQ(store->Labels(), labels_before);
   EXPECT_EQ(store->stats().inserts, 0u);
-  EXPECT_EQ(store->stats().batch_inserts, 0u);
+  EXPECT_EQ(store->stats().relabel_passes, 0u);
 }
 
 TEST_P(BatchEdgeCaseTest, InsertBatchBeforeHead) {

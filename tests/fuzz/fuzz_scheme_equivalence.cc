@@ -187,14 +187,16 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
         break;
       }
       case 2:    // PushBack
-      case 3: {  // PushFront
+      case 3: {  // front: InsertBefore(first), PushBack when empty
         if (oracle.size() >= kMaxItems) break;
         const LeafCookie cookie = next_cookie++;
         std::vector<ItemHandle> inserted(schemes.size(), kInvalidItemHandle);
         bool all_ok = true;
         for (size_t s = 0; s < schemes.size(); ++s) {
-          auto h = op == 2 ? schemes[s].store->PushBack(cookie)
-                           : schemes[s].store->PushFront(cookie);
+          LabelStore& store = *schemes[s].store;
+          auto h = op == 2 || oracle.empty()
+                       ? store.PushBack(cookie)
+                       : store.InsertBefore(schemes[s].handles[0], cookie);
           if (!h.ok()) {
             CheckStatusNotCorruption(schemes[s], h.status());
             all_ok = false;

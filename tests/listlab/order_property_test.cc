@@ -37,13 +37,14 @@ TEST_P(OrderPropertyTest, LabelsMatchListOrderUnderRandomOps) {
     } else if (action < 8) {
       auto id = rng.Bernoulli(0.5)
                     ? maintainer->PushBack(1000 + static_cast<LeafCookie>(op))
-                    : maintainer->PushFront(1000 + static_cast<LeafCookie>(op));
+                    : maintainer->InsertBefore(
+                          order.front(), 1000 + static_cast<LeafCookie>(op));
       ASSERT_TRUE(id.ok()) << "op " << op;
       if (rng.Bernoulli(0.5)) {
         // We can't know which end without querying; re-derive below.
       }
-      // Maintain reference: PushBack appends, PushFront prepends. Determine
-      // by comparing labels against current extremes.
+      // Maintain reference: PushBack appends, InsertBefore(front) prepends.
+      // Determine which by comparing labels against current extremes.
       // (Simpler: just re-check via labels at verification time; here we
       // need order[], so place by label.)
       Label l = *maintainer->GetLabel(*id);

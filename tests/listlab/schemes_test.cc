@@ -51,7 +51,7 @@ TEST(SequentialListTest, PushFrontShiftsEverything) {
   SequentialList list;
   std::vector<ItemHandle> ids;
   ASSERT_TRUE(list.BulkLoad(10, &ids).ok());
-  ASSERT_TRUE(list.PushFront(0).ok());
+  ASSERT_TRUE(list.InsertBefore(ids.front(), 0).ok());
   EXPECT_EQ(list.stats().items_relabeled, 10u);
 }
 
@@ -147,7 +147,7 @@ TEST(GapListTest, PushFrontUsesHalfGap) {
   GapList list(16);
   std::vector<ItemHandle> ids;
   ASSERT_TRUE(list.BulkLoad(2, &ids).ok());
-  ASSERT_TRUE(list.PushFront(0).ok());
+  ASSERT_TRUE(list.InsertBefore(ids.front(), 0).ok());
   EXPECT_EQ(list.Labels().front(), 0u);
   EXPECT_TRUE(list.Validate().ok());
 }
@@ -195,7 +195,7 @@ TEST(BenderListTest, EmptyListPushBack) {
   auto id = list.PushBack(0);
   ASSERT_TRUE(id.ok());
   EXPECT_EQ(list.size(), 1u);
-  auto id2 = list.PushFront(0);
+  auto id2 = list.InsertBefore(*id, 0);
   ASSERT_TRUE(id2.ok());
   auto labels = list.Labels();
   EXPECT_LT(labels[0], labels[1]);
@@ -249,7 +249,7 @@ TEST(LTreeStoreTest, BatchInsertIsOneRebalance) {
   std::vector<ItemHandle> fresh;
   ASSERT_TRUE(m->InsertBatchAfter(ids[3], cookies, &fresh).ok());
   ASSERT_EQ(fresh.size(), 5u);
-  EXPECT_EQ(m->stats().batch_inserts, 1u);
+  EXPECT_EQ(m->stats().relabel_passes, 1u);
   // Batch items sit between ids[3] and ids[4], in batch order.
   Label prev = *m->GetLabel(ids[3]);
   for (size_t i = 0; i < fresh.size(); ++i) {
@@ -288,7 +288,7 @@ TEST(VirtualLTreeStoreTest, BatchMatchesMaterialized) {
     ASSERT_TRUE(m->BulkLoad(6, &ids).ok());
     const std::vector<LeafCookie> batch{20, 21, 22, 23};
     ASSERT_TRUE(m->InsertBatchAfter(ids[2], batch, nullptr).ok());
-    EXPECT_EQ(m->stats().batch_inserts, 1u) << m->name();
+    EXPECT_EQ(m->stats().relabel_passes, 1u) << m->name();
   }
   EXPECT_EQ(mat->Labels(), virt->Labels());
 }

@@ -4,10 +4,28 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
+#include <string>
 #include <vector>
 
+#include "common/macros.h"
+
 namespace ltree {
+
+/// Plants raw entries in the backing counted B+-tree, bypassing the
+/// maintenance algorithm, so negative tests can seed structural faults.
+class VirtualLTreeTestPeer {
+ public:
+  /// Adds a live entry at `key` and keeps the live counter in step, so only
+  /// the structural rule the key breaks fires.
+  static void Plant(VirtualLTree* tree, Label key, LeafCookie cookie) {
+    LTREE_CHECK_OK(
+        tree->btree_.Insert(key, VirtualLTree::PackValue(cookie, false)));
+    ++tree->live_leaves_;
+  }
+};
+
 namespace {
 
 std::vector<LeafCookie> MakeCookies(size_t n) {
@@ -81,8 +99,10 @@ TEST(VirtualLTreeTest, PushBackOnEmpty) {
 
 TEST(VirtualLTreeTest, PushFrontShiftsExisting) {
   auto vt = VirtualLTree::Create(Params{.f = 4, .s = 2}).ValueOrDie();
-  ASSERT_TRUE(vt->PushBack(1).ok());
-  auto front = vt->PushFront(2);
+  // Front insertion: InsertBefore the smallest label.
+  auto first = vt->PushBack(1);
+  ASSERT_TRUE(first.ok());
+  auto front = vt->InsertBefore(*first, 2);
   ASSERT_TRUE(front.ok());
   auto labels = vt->AllLabels();
   ASSERT_EQ(labels.size(), 2u);
@@ -190,6 +210,55 @@ TEST(VirtualLTreeTest, CapacityErrorWithoutCorruption) {
   // params path that the tree stays usable after an error.)
   ASSERT_TRUE(vt->BulkLoad(MakeCookies(8)).ok());
   EXPECT_TRUE(vt->Validate().ok());
+}
+
+// Negative tests: Validate() must name each broken structural rule. f=4,
+// s=2 over 8 bulk-loaded leaves gives labels {0,1,5,6,25,26,30,31}, height
+// 3, label space 125 and budgets lmax(1..3) = 4, 8, 16.
+
+std::unique_ptr<VirtualLTree> MakeFigure2Tree() {
+  auto vt = VirtualLTree::Create(Params{.f = 4, .s = 2}).ValueOrDie();
+  LTREE_CHECK_OK(vt->BulkLoad(MakeCookies(8)));
+  return vt;
+}
+
+TEST(VirtualLTreeValidateTest, DetectsLabelOutsideLabelSpace) {
+  auto vt = MakeFigure2Tree();
+  ASSERT_TRUE(vt->Validate().ok());
+  VirtualLTreeTestPeer::Plant(vt.get(), 130, 100);
+  const audit::Report report = vt->Validate();
+  ASSERT_EQ(report.total(), 1u) << report.ToString();
+  EXPECT_EQ(report.violations()[0].rule, "label-space");
+}
+
+TEST(VirtualLTreeValidateTest, DetectsLeafBudgetViolation) {
+  auto vt = MakeFigure2Tree();
+  // Digits 0..3 under the height-1 node at 0: 4 leaves reach lmax(1) = 4.
+  VirtualLTreeTestPeer::Plant(vt.get(), 2, 100);
+  VirtualLTreeTestPeer::Plant(vt.get(), 3, 101);
+  const audit::Report report = vt->Validate();
+  ASSERT_EQ(report.total(), 1u) << report.ToString();
+  EXPECT_EQ(report.violations()[0].rule, "leaf-budget");
+  EXPECT_EQ(report.violations()[0].path, "virtual:/h1@0");
+}
+
+TEST(VirtualLTreeValidateTest, DetectsChildDigitGaps) {
+  auto vt = MakeFigure2Tree();
+  VirtualLTreeTestPeer::Plant(vt.get(), 3, 100);   // h1@0: digits 0,1,3
+  VirtualLTreeTestPeer::Plant(vt.get(), 12, 101);  // h1@10: digit 2 alone
+  VirtualLTreeTestPeer::Plant(vt.get(), 15, 102);  // h2@0: digits 0,1,2,3 ok
+  VirtualLTreeTestPeer::Plant(vt.get(), 75, 103);  // h3@0: digits 0,1,3
+  const audit::Report report = vt->Validate();
+  ASSERT_EQ(report.total(), 3u) << report.ToString();
+  std::vector<std::string> paths;
+  for (const audit::Violation& v : report.violations()) {
+    EXPECT_EQ(v.rule, "child-gap") << report.ToString();
+    paths.push_back(v.path);
+  }
+  std::sort(paths.begin(), paths.end());
+  const std::vector<std::string> want = {"virtual:/h1@0", "virtual:/h1@10",
+                                         "virtual:/h3@0"};
+  EXPECT_EQ(paths, want);
 }
 
 }  // namespace
