@@ -82,20 +82,26 @@ Status LabeledDocument::RegisterStream(const std::vector<xml::TagEntry>& stream,
       pair.begin = handles[i];
     }
   }
+  // The document is the store's only writer, and it is between mutations.
+  const listlab::LabelStore::ReadGuard guard = store_->QuiescentRead();
   for (const xml::TagEntry& entry : stream) {
     if (entry.kind != xml::TagEntry::Kind::kBegin) continue;
-    LTREE_RETURN_IF_ERROR(RegisterNode(entry.node, leaves_[entry.node->id]));
+    const LeafPair leaves = leaves_[entry.node->id];
+    LTREE_RETURN_IF_ERROR(RegisterNode(guard, entry.node, leaves));
   }
   return Status::OK();
 }
 
-Status LabeledDocument::RegisterNode(const xml::Node* node, LeafPair leaves) {
+Status LabeledDocument::RegisterNode(
+    const listlab::LabelStore::ReadGuard& guard, const xml::Node* node,
+    LeafPair leaves) {
   if (!node->IsElement()) return Status::OK();  // text: leaves only
   query::NodeRow row;
   row.id = node->id;
   row.tag = node->tag;
-  LTREE_ASSIGN_OR_RETURN(const Label start, store_->GetLabel(leaves.begin));
-  LTREE_ASSIGN_OR_RETURN(const Label end, store_->GetLabel(leaves.end));
+  LTREE_ASSIGN_OR_RETURN(const Label start,
+                         store_->LabelOf(guard, leaves.begin));
+  LTREE_ASSIGN_OR_RETURN(const Label end, store_->LabelOf(guard, leaves.end));
   row.region = {start, end};
   row.level = DepthOf(node);
   row.parent_id = node->parent == nullptr ? 0 : node->parent->id;
@@ -241,11 +247,12 @@ Status LabeledDocument::DeleteSubtree(xml::NodeId node_id) {
 Result<query::Region> LabeledDocument::GetRegion(xml::NodeId node_id) const {
   auto it = leaves_.find(node_id);
   if (it == leaves_.end()) return Status::NotFound("unknown node id");
+  const listlab::LabelStore::ReadGuard guard = store_->QuiescentRead();
   LTREE_ASSIGN_OR_RETURN(const Label start,
-                         store_->GetLabel(it->second.begin));
+                         store_->LabelOf(guard, it->second.begin));
   Label end = start;
   if (it->second.end != kInvalidItemHandle) {
-    LTREE_ASSIGN_OR_RETURN(end, store_->GetLabel(it->second.end));
+    LTREE_ASSIGN_OR_RETURN(end, store_->LabelOf(guard, it->second.end));
   }
   return query::Region{start, end};
 }
@@ -263,6 +270,7 @@ Status LabeledDocument::CheckConsistency() const {
   LTREE_RETURN_IF_ERROR(doc_.Validate().ToStatus());
   // The labels read through the handles must be strictly increasing along
   // the current tag stream, and table regions must match them.
+  const listlab::LabelStore::ReadGuard guard = store_->QuiescentRead();
   Label prev = 0;
   bool first = true;
   for (const xml::TagEntry& entry : doc_.TagStream()) {
@@ -276,7 +284,7 @@ Status LabeledDocument::CheckConsistency() const {
     if (h == kInvalidItemHandle) {
       return Status::Corruption("missing leaf handle");
     }
-    auto label = store_->GetLabel(h);
+    auto label = store_->LabelOf(guard, h);
     if (!label.ok()) {
       return Status::Corruption("leaf handle no longer resolves: " +
                                 label.status().ToString());
@@ -291,9 +299,9 @@ Status LabeledDocument::CheckConsistency() const {
       LTREE_ASSIGN_OR_RETURN(const query::NodeRow* row,
                              table_.Find(entry.node->id));
       LTREE_ASSIGN_OR_RETURN(const Label start,
-                             store_->GetLabel(it->second.begin));
+                             store_->LabelOf(guard, it->second.begin));
       LTREE_ASSIGN_OR_RETURN(const Label end,
-                             store_->GetLabel(it->second.end));
+                             store_->LabelOf(guard, it->second.end));
       if (row->region.start != start || row->region.end != end) {
         return Status::Corruption(StrFormat(
             "table region stale for node %llu",

@@ -109,7 +109,8 @@ class LabeledDocument : private RelabelListener {
  private:
   struct LeafPair {
     listlab::ItemHandle begin = listlab::kInvalidItemHandle;
-    listlab::ItemHandle end = listlab::kInvalidItemHandle;  ///< invalid for text
+    /// kInvalidItemHandle for a text node (one leaf).
+    listlab::ItemHandle end = listlab::kInvalidItemHandle;
   };
 
   LabeledDocument(xml::Document doc,
@@ -148,8 +149,10 @@ class LabeledDocument : private RelabelListener {
   Status RegisterStream(const std::vector<xml::TagEntry>& stream,
                         std::span<const listlab::ItemHandle> handles);
 
-  /// Registers a freshly labeled node in the handle map and node table.
-  Status RegisterNode(const xml::Node* node, LeafPair leaves);
+  /// Registers a freshly labeled node in the node table, reading its
+  /// labels under `guard`.
+  Status RegisterNode(const listlab::LabelStore::ReadGuard& guard,
+                      const xml::Node* node, LeafPair leaves);
 
   /// Recursively copies `src` (from another document) under `parent`,
   /// appending to `cookies`/`nodes` in tag-stream order.

@@ -35,13 +35,12 @@ double BenderList::ThresholdFor(uint32_t k) const {
 
 Status BenderList::AssignInitialLabels(uint64_t n) {
   // Size the universe so the initial density is at most root_density.
-  while (bits_ < kMaxBits &&
-         static_cast<double>(n) > options_.root_density *
-                                      static_cast<double>(uint64_t{1} << bits_)) {
-    ++bits_;
-  }
-  if (static_cast<double>(n) >
-      options_.root_density * static_cast<double>(uint64_t{1} << bits_)) {
+  const auto too_dense = [&] {
+    return static_cast<double>(n) >
+           options_.root_density * static_cast<double>(LabelUniverse());
+  };
+  while (bits_ < kMaxBits && too_dense()) ++bits_;
+  if (too_dense()) {
     return Status::CapacityExceeded("bulk load too dense for 62-bit labels");
   }
   const uint64_t width = uint64_t{1} << bits_;

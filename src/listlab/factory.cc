@@ -25,7 +25,8 @@ Result<std::unique_ptr<LabelStore>> MakeLabelStore(const std::string& spec) {
     if (parts.size() != 2) {
       return Status::InvalidArgument("usage: gap:<G>");
     }
-    const uint64_t g = std::strtoull(std::string(parts[1]).c_str(), nullptr, 10);
+    const uint64_t g =
+        std::strtoull(std::string(parts[1]).c_str(), nullptr, 10);
     if (g < 2) return Status::InvalidArgument("gap must be >= 2");
     return std::unique_ptr<LabelStore>(new GapList(g));
   }

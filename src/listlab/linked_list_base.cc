@@ -135,12 +135,12 @@ Status LinkedListScheme::EraseImpl(ItemHandle h) {
   return Status::OK();
 }
 
-Result<Label> LinkedListScheme::GetLabel(ItemHandle h) const {
+Result<Label> LinkedListScheme::LabelImpl(ItemHandle h) const {
   LTREE_ASSIGN_OR_RETURN(ListItem * item, FindLive(h));
   return item->label;
 }
 
-Result<LeafCookie> LinkedListScheme::GetCookie(ItemHandle h) const {
+Result<LeafCookie> LinkedListScheme::CookieImpl(ItemHandle h) const {
   LTREE_ASSIGN_OR_RETURN(ListItem * item, FindLive(h));
   return item->cookie;
 }
@@ -156,15 +156,6 @@ void LinkedListScheme::SnapshotImpl(
 uint32_t LinkedListScheme::label_bits() const {
   const uint64_t universe = LabelUniverse();
   return universe <= 1 ? 1 : BitWidth(universe - 1);
-}
-
-std::vector<Label> LinkedListScheme::Labels() const {
-  std::vector<Label> out;
-  out.reserve(live_);
-  for (ListItem* it = head_; it != nullptr; it = it->next) {
-    out.push_back(it->label);
-  }
-  return out;
 }
 
 audit::Report LinkedListScheme::Validate() const {

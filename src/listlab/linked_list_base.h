@@ -34,8 +34,6 @@ class LinkedListScheme : public LabelStore {
     return EraseSemantics::kPhysical;
   }
 
-  Result<Label> GetLabel(ItemHandle h) const final;
-  Result<LeafCookie> GetCookie(ItemHandle h) const final;
   uint64_t size() const final { return live_; }
   uint32_t label_bits() const final;
   uint64_t ApproxHeapBytes() const final {
@@ -44,7 +42,6 @@ class LinkedListScheme : public LabelStore {
     return items_.size() * sizeof(ListItem) +
            items_.capacity() * sizeof(ListItem*);
   }
-  std::vector<Label> Labels() const final;
   MaintStats stats() const final { return stats_; }
   void ResetStats() final { stats_ = MaintStats(); }
 
@@ -63,6 +60,8 @@ class LinkedListScheme : public LabelStore {
   Result<ItemHandle> InsertImpl(Where where, ItemHandle pos,
                                 std::span<const LeafCookie> cookies) final;
   Status EraseImpl(ItemHandle h) final;
+  Result<Label> LabelImpl(ItemHandle h) const final;
+  Result<LeafCookie> CookieImpl(ItemHandle h) const final;
   void SnapshotImpl(
       std::vector<std::pair<Label, LeafCookie>>* out) const final;
 

@@ -111,12 +111,12 @@ Status LTreeStore::EraseImpl(ItemHandle h) {
   return Status::OK();
 }
 
-Result<Label> LTreeStore::GetLabel(ItemHandle h) const {
+Result<Label> LTreeStore::LabelImpl(ItemHandle h) const {
   LTREE_ASSIGN_OR_RETURN(LTree::LeafHandle where, LiveHandle(h));
   return tree_->label(where);
 }
 
-Result<LeafCookie> LTreeStore::GetCookie(ItemHandle h) const {
+Result<LeafCookie> LTreeStore::CookieImpl(ItemHandle h) const {
   LTREE_ASSIGN_OR_RETURN(LTree::LeafHandle where, LiveHandle(h));
   return tree_->cookie(where);
 }
@@ -217,7 +217,7 @@ void VirtualLTreeStore::OnRelabel(LeafCookie cookie, Label old_label,
   }
 }
 
-Result<Label> VirtualLTreeStore::CurrentLabel(ItemHandle h) const {
+Result<Label> VirtualLTreeStore::LabelImpl(ItemHandle h) const {
   if (h >= slots_.size()) return Status::NotFound("unknown item handle");
   const VSlot& slot = slots_[h];
   if (slot.erased.load(std::memory_order_acquire)) {
@@ -281,7 +281,7 @@ Result<ItemHandle> VirtualLTreeStore::InsertImpl(
     Where where, ItemHandle pos, std::span<const LeafCookie> cookies) {
   Label anchor = kInvalidLabel;
   if (where != Where::kBack) {
-    LTREE_ASSIGN_OR_RETURN(anchor, CurrentLabel(pos));
+    LTREE_ASSIGN_OR_RETURN(anchor, LabelImpl(pos));
   }
   return RunBatch(cookies, [&](auto tree_cookies, auto* labels) {
     switch (where) {
@@ -310,17 +310,9 @@ Status VirtualLTreeStore::EraseImpl(ItemHandle h) {
   return Status::OK();
 }
 
-Result<Label> VirtualLTreeStore::GetLabel(ItemHandle h) const {
-  return CurrentLabel(h);
-}
-
-Result<LeafCookie> VirtualLTreeStore::GetCookie(ItemHandle h) const {
-  if (h >= slots_.size()) return Status::NotFound("unknown item handle");
-  const VSlot& slot = slots_[h];
-  if (slot.erased.load(std::memory_order_acquire)) {
-    return Status::NotFound("item handle already erased");
-  }
-  return slot.cookie.load();
+Result<LeafCookie> VirtualLTreeStore::CookieImpl(ItemHandle h) const {
+  LTREE_RETURN_IF_ERROR(LabelImpl(h).status());
+  return slots_[h].cookie.load();
 }
 
 void VirtualLTreeStore::SnapshotImpl(

@@ -44,14 +44,11 @@ class LTreeStore : public LabelStore, private RelabelListener {
   ConcurrencyMode concurrency_mode() const override {
     return ConcurrencyMode::kLockFreeReads;
   }
-  Result<Label> GetLabel(ItemHandle h) const override;
-  Result<LeafCookie> GetCookie(ItemHandle h) const override;
   uint64_t size() const override { return tree_->num_live_leaves(); }
   uint32_t label_bits() const override { return tree_->label_bits(); }
   uint64_t ApproxHeapBytes() const override {
     return tree_->ApproxHeapBytes() + slots_.ApproxHeapBytes();
   }
-  std::vector<Label> Labels() const override { return tree_->LiveLabels(); }
   MaintStats stats() const override { return tree_->stats(); }
   void ResetStats() override { tree_->ResetStats(); }
 
@@ -73,9 +70,11 @@ class LTreeStore : public LabelStore, private RelabelListener {
   Result<ItemHandle> InsertImpl(Where where, ItemHandle pos,
                                 std::span<const LeafCookie> cookies) override;
   Status EraseImpl(ItemHandle h) override;
-  // GetLabel/GetCookie read only the atomic slot table and atomic leaf
-  // fields, so the guard-based LabelOf/CookieOf/CompareOrder, which call
-  // them directly, are lock-free safe for this store.
+  // LabelImpl/CookieImpl read only the atomic slot table and atomic leaf
+  // fields, so LabelOf/CookieOf/CompareOrder are lock-free safe for this
+  // store.
+  Result<Label> LabelImpl(ItemHandle h) const override;
+  Result<LeafCookie> CookieImpl(ItemHandle h) const override;
   void SnapshotImpl(
       std::vector<std::pair<Label, LeafCookie>>* out) const override;
   epoch::EpochManager* epoch_manager() const override { return &epoch_; }
@@ -121,14 +120,11 @@ class VirtualLTreeStore : public LabelStore, private RelabelListener {
   ConcurrencyMode concurrency_mode() const override {
     return ConcurrencyMode::kLockFreeReads;
   }
-  Result<Label> GetLabel(ItemHandle h) const override;
-  Result<LeafCookie> GetCookie(ItemHandle h) const override;
   uint64_t size() const override { return tree_->num_live_leaves(); }
   uint32_t label_bits() const override { return tree_->label_bits(); }
   uint64_t ApproxHeapBytes() const override {
     return tree_->ApproxMemoryBytes() + slots_.ApproxHeapBytes();
   }
-  std::vector<Label> Labels() const override { return tree_->LiveLabels(); }
   MaintStats stats() const override { return tree_->stats(); }
   void ResetStats() override { tree_->ResetStats(); }
 
@@ -148,6 +144,9 @@ class VirtualLTreeStore : public LabelStore, private RelabelListener {
   Result<ItemHandle> InsertImpl(Where where, ItemHandle pos,
                                 std::span<const LeafCookie> cookies) override;
   Status EraseImpl(ItemHandle h) override;
+  /// Also resolves InsertImpl's anchor (final: the call is direct).
+  Result<Label> LabelImpl(ItemHandle h) const final;
+  Result<LeafCookie> CookieImpl(ItemHandle h) const override;
   void SnapshotImpl(
       std::vector<std::pair<Label, LeafCookie>>* out) const override;
   epoch::EpochManager* epoch_manager() const override { return &epoch_; }
@@ -165,7 +164,6 @@ class VirtualLTreeStore : public LabelStore, private RelabelListener {
 
   explicit VirtualLTreeStore(std::unique_ptr<VirtualLTree> tree);
   void OnRelabel(LeafCookie cookie, Label old_label, Label new_label) override;
-  Result<Label> CurrentLabel(ItemHandle h) const;
   /// Reserves unpublished slots for k fresh items; returns the first new
   /// handle. Published by RunBatch only after the labels landed.
   ItemHandle Reserve(std::span<const LeafCookie> cookies);

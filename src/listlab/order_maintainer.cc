@@ -49,7 +49,7 @@ Status LabelStore::Erase(ItemHandle h) {
 }
 
 // --------------------------------------------------------------------------
-// Guard-based concurrent reads.
+// Reads: every one takes a guard.
 // --------------------------------------------------------------------------
 
 LabelStore::ReadGuard LabelStore::AcquireRead() const {
@@ -62,25 +62,15 @@ LabelStore::ReadGuard LabelStore::AcquireRead() const {
   return guard;
 }
 
-Result<Label> LabelStore::LabelOf(const ReadGuard& /*guard*/,
-                                  ItemHandle h) const {
-  return GetLabel(h);
-}
-
-Result<LeafCookie> LabelStore::CookieOf(const ReadGuard& /*guard*/,
-                                        ItemHandle h) const {
-  return GetCookie(h);
-}
-
 Result<int> LabelStore::CompareOrder(const ReadGuard& /*guard*/, ItemHandle a,
                                      ItemHandle b) const {
   const auto compare = [](Label la, Label lb) {
     return la < lb ? -1 : (la > lb ? 1 : 0);
   };
   if (concurrency_mode() == ConcurrencyMode::kSerializedReads) {
-    // The guard's shared lock already excludes writers.
-    LTREE_ASSIGN_OR_RETURN(Label la, GetLabel(a));
-    LTREE_ASSIGN_OR_RETURN(Label lb, GetLabel(b));
+    // The guard's shared lock (or quiescence) already excludes writers.
+    LTREE_ASSIGN_OR_RETURN(Label la, LabelImpl(a));
+    LTREE_ASSIGN_OR_RETURN(Label lb, LabelImpl(b));
     return compare(la, lb);
   }
   // Lock-free: both loads are individually safe; the seqlock detects a
@@ -89,8 +79,8 @@ Result<int> LabelStore::CompareOrder(const ReadGuard& /*guard*/, ItemHandle a,
   for (int attempt = 0; attempt < kSeqlockRetries; ++attempt) {
     const uint64_t s1 = write_seq_.load(std::memory_order_seq_cst);
     if ((s1 & 1) != 0) continue;  // writer section open; spin
-    auto la = GetLabel(a);
-    auto lb = GetLabel(b);
+    auto la = LabelImpl(a);
+    auto lb = LabelImpl(b);
     const uint64_t s2 = write_seq_.load(std::memory_order_seq_cst);
     if (s1 != s2) continue;  // a writer intervened; retry the pair
     if (!la.ok()) return la.status();
@@ -100,24 +90,19 @@ Result<int> LabelStore::CompareOrder(const ReadGuard& /*guard*/, ItemHandle a,
   // A writer kept the seqlock hot (e.g. a long rebuild burst): fall back
   // to a brief shared lock for one consistent pair.
   std::shared_lock<std::shared_mutex> lock(rw_mutex_);
-  LTREE_ASSIGN_OR_RETURN(Label la, GetLabel(a));
-  LTREE_ASSIGN_OR_RETURN(Label lb, GetLabel(b));
+  LTREE_ASSIGN_OR_RETURN(Label la, LabelImpl(a));
+  LTREE_ASSIGN_OR_RETURN(Label lb, LabelImpl(b));
   return compare(la, lb);
 }
 
 std::vector<std::pair<Label, LeafCookie>> LabelStore::ScanAll(
-    const ReadGuard& /*guard*/) const {
+    const ReadGuard& guard) const {
+  // An epoch pin or a QuiescentRead guard holds no lock, and the walk
+  // needs writers excluded for real. Never lock it twice on one thread.
+  std::shared_lock<std::shared_mutex> lock(rw_mutex_, std::defer_lock);
+  if (!guard.lock_.owns_lock()) lock.lock();
   std::vector<std::pair<Label, LeafCookie>> out;
-  if (concurrency_mode() == ConcurrencyMode::kLockFreeReads) {
-    // The guard only pins the epoch; structure walks need the writer
-    // excluded for real.
-    std::shared_lock<std::shared_mutex> lock(rw_mutex_);
-    SnapshotImpl(&out);
-  } else {
-    // The guard's shared lock is already held (never double-lock a
-    // shared_mutex on one thread).
-    SnapshotImpl(&out);
-  }
+  SnapshotImpl(&out);
   return out;
 }
 

@@ -53,18 +53,22 @@
 // consistency checks) can query erase_semantics(); callers that only need
 // "the handle is gone either way" need not.
 //
-// ## Concurrent reads
+// ## Reads
 //
-// Mutations are serialized by the store itself (each public mutation runs
-// under an exclusive writer section), and a separate guard-based read API
-// lets any number of reader threads run *during* a mutation:
+// There is one read API — LabelOf, CookieOf, CompareOrder and ScanAll —
+// and every call names the guard that makes it safe:
 //
-//   auto guard = store->AcquireRead();
+//   auto guard = store->AcquireRead();  // or store->QuiescentRead()
 //   auto label = store->LabelOf(guard, h);
 //   auto cmp   = store->CompareOrder(guard, a, b);
 //
-// How much the guard costs depends on the scheme, reported by
-// concurrency_mode():
+// QuiescentRead holds no pin and no lock, so it costs nothing; it is for
+// the writer's own thread between mutations and for any thread while the
+// store is frozen. AcquireRead is for readers a writer can overlap:
+// mutations are serialized by the store itself (each public mutation runs
+// under an exclusive writer section), and any number of AcquireRead
+// readers may run *during* one. What that guard costs depends on the
+// scheme, reported by concurrency_mode():
 //
 //   * kLockFreeReads (ltree, virtual) — AcquireRead pins an epoch (one CAS;
 //     no lock), and LabelOf/CookieOf/CompareOrder never block: they read
@@ -77,9 +81,9 @@
 //     shared lock on the writer mutex; reads are correct but exclude
 //     writers for the guard's lifetime. Same API, documented fallback.
 //
-// ScanAll walks the structure, so it briefly takes the shared lock in both
-// modes. The plain query methods (GetLabel/GetCookie/Labels/stats()/...)
-// keep the historical thread-compatible contract: const reads, safe
+// ScanAll walks the structure, so it takes the shared lock unless its
+// guard already holds it. The remaining const queries (size(),
+// label_bits(), stats(), ...) keep the thread-compatible contract: safe
 // concurrently with each other while no thread mutates. ResetStats() is a
 // mutation and stays writer-side.
 
@@ -128,9 +132,8 @@ enum class EraseSemantics {
 };
 
 /// The unified labeling interface. Mutations are serialized internally
-/// (single exclusive writer at a time); reads either use the guard-based
-/// concurrent API below or require external quiescence (see the header
-/// comment).
+/// (single exclusive writer at a time); every label and cookie read takes
+/// a ReadGuard (see "Reads" in the header comment).
 class LabelStore {
  public:
   virtual ~LabelStore() = default;
@@ -208,7 +211,7 @@ class LabelStore {
   /// FailedPrecondition for an already erased handle — in every scheme.
   Status Erase(ItemHandle h);
 
-  // ------------------------------------------------------ concurrent reads
+  // ------------------------------------------------------------------ reads
 
   /// How cheap AcquireRead and the guard-based reads are for this scheme.
   enum class ConcurrencyMode {
@@ -220,17 +223,17 @@ class LabelStore {
     return ConcurrencyMode::kSerializedReads;
   }
 
-  /// Proof-of-protection token for the guard-based reads. Movable; drop it
-  /// to release the pin/lock. Guards are cheap but not free — hold one
-  /// across a sequence of reads, not per call.
+  /// Proof-of-protection token for the reads below. Movable; drop it to
+  /// release the pin/lock. An AcquireRead guard is cheap but not free —
+  /// hold one across a sequence of reads, not per call.
   class ReadGuard {
    public:
     ReadGuard(ReadGuard&&) = default;
     ReadGuard& operator=(ReadGuard&&) = default;
 
    private:
-    // Only AcquireRead builds one: a default guard holds neither a pin nor
-    // a lock, and the reads trust the guard to hold one.
+    // Only AcquireRead and QuiescentRead build one; the reads trust the
+    // guard's promise that no writer can break them.
     friend class LabelStore;
     ReadGuard() = default;
     epoch::ReadGuard pin_;                      // lock-free schemes
@@ -238,37 +241,42 @@ class LabelStore {
   };
 
   /// Acquires read protection appropriate for the scheme: an epoch pin
-  /// (kLockFreeReads) or a shared lock (kSerializedReads). Thread-safe.
+  /// (kLockFreeReads) or a shared lock (kSerializedReads). For readers a
+  /// writer can overlap. Thread-safe.
   ReadGuard AcquireRead() const;
 
-  /// Label of a live item, safe against a concurrent writer while `guard`
-  /// is held. Same results and errors as GetLabel.
-  Result<Label> LabelOf(const ReadGuard& guard, ItemHandle h) const;
+  /// A guard that holds no pin and no lock, for reads no writer can
+  /// overlap: the writer's own thread between mutations, or any thread
+  /// while the store is frozen.
+  ReadGuard QuiescentRead() const { return ReadGuard(); }
 
-  /// Cookie of a live item under a guard. Same results as GetCookie.
-  Result<LeafCookie> CookieOf(const ReadGuard& guard, ItemHandle h) const;
+  /// Current label of a live item. Order of labels == list order. NotFound
+  /// for a handle the store never issued or has erased.
+  Result<Label> LabelOf(const ReadGuard& /*guard*/, ItemHandle h) const {
+    return LabelImpl(h);
+  }
+
+  /// The client payload attached at insertion time; errors as LabelOf.
+  Result<LeafCookie> CookieOf(const ReadGuard& /*guard*/, ItemHandle h) const {
+    return CookieImpl(h);
+  }
 
   /// List-order comparison of two live items under a guard: -1, 0 or +1 as
   /// `a` precedes, equals or follows `b`. The label pair is read
   /// consistently: lock-free schemes retry over a concurrent relabel via
   /// the store seqlock (falling back to a brief shared lock if a writer
-  /// keeps the seqlock hot), serialized schemes already hold the lock.
+  /// keeps the seqlock hot); a serialized scheme's guard already excludes
+  /// writers.
   Result<int> CompareOrder(const ReadGuard& guard, ItemHandle a,
                            ItemHandle b) const;
 
   /// (label, cookie) of every live item in list order. Walks the backing
-  /// structure, so it briefly takes the shared lock in both modes (the
-  /// one guard-based read that can wait on a writer).
+  /// structure, so it briefly takes the shared lock unless `guard` already
+  /// holds it (the one read that can wait on a writer).
   std::vector<std::pair<Label, LeafCookie>> ScanAll(
       const ReadGuard& guard) const;
 
   // ---------------------------------------------------------------- queries
-
-  /// Current label of a live item. Order of labels == list order.
-  virtual Result<Label> GetLabel(ItemHandle h) const = 0;
-
-  /// The client payload attached at insertion time.
-  virtual Result<LeafCookie> GetCookie(ItemHandle h) const = 0;
 
   /// Live item count.
   virtual uint64_t size() const = 0;
@@ -281,9 +289,6 @@ class LabelStore {
   /// schemes: item nodes + handle table) heap footprint in bytes. The
   /// sharded DocumentStore reports this per shard.
   virtual uint64_t ApproxHeapBytes() const = 0;
-
-  /// Live labels in list order (for order-preservation checks).
-  virtual std::vector<Label> Labels() const = 0;
 
   /// Receives label-change notifications; may be nullptr.
   void set_listener(RelabelListener* listener) { listener_ = listener; }
@@ -325,6 +330,11 @@ class LabelStore {
       Where where, ItemHandle pos, std::span<const LeafCookie> cookies) = 0;
   virtual Status EraseImpl(ItemHandle h) = 0;
 
+  // The read hooks. LabelImpl/CookieImpl back LabelOf/CookieOf/
+  // CompareOrder and fail with NotFound for an unknown or erased handle;
+  // lock-free schemes must keep them safe under a bare epoch pin.
+  virtual Result<Label> LabelImpl(ItemHandle h) const = 0;
+  virtual Result<LeafCookie> CookieImpl(ItemHandle h) const = 0;
   /// (label, cookie) of every live item in list order; called with the
   /// shared lock held (writers excluded).
   virtual void SnapshotImpl(

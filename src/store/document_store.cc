@@ -134,10 +134,13 @@ Result<const DocumentStore::DocState*> DocumentStore::FindDoc(
 
 void DocumentStore::PublishInsert(ShardCtx& ctx, LeafCookie cookie,
                                   listlab::ItemHandle handle) {
+  // The writer's own thread, between mutations.
+  const listlab::LabelStore::ReadGuard guard = ctx.store->QuiescentRead();
+  const Label label = ctx.store->LabelOf(guard, handle).ValueOrDie();
   ctx.feed.Append({.kind = FeedEvent::Kind::kInsert,
                    .cookie = cookie,
                    .old_label = kInvalidLabel,
-                   .new_label = ctx.store->GetLabel(handle).ValueOrDie()});
+                   .new_label = label});
   ++ctx.inserts_published;
   ++ledger_.inserts;
 }
@@ -193,9 +196,9 @@ Result<LeafCookie> DocumentStore::InsertBeforeRank(DocId doc, uint64_t rank) {
 Status DocumentStore::InsertBatchAfterRank(DocId doc, uint64_t rank,
                                            uint64_t count,
                                            std::vector<LeafCookie>* cookies) {
+  LTREE_ASSIGN_OR_RETURN(DocState * state, FindDoc(doc));
   if (count == 0) return Status::OK();
   LTREE_FAILPOINT("store.insert");
-  LTREE_ASSIGN_OR_RETURN(DocState * state, FindDoc(doc));
   ShardCtx& ctx = *shards_[state->shard];
   if (!state->items.empty() && rank >= state->items.size()) {
     return Status::OutOfRange("rank " + std::to_string(rank) +
@@ -277,17 +280,19 @@ Result<Label> DocumentStore::LabelAt(DocId doc, uint64_t rank) const {
   if (rank >= state->items.size()) {
     return Status::OutOfRange("rank out of range");
   }
-  return shards_[state->shard]->store->GetLabel(state->items[rank]);
+  const listlab::LabelStore& scheme = *shards_[state->shard]->store;
+  return scheme.LabelOf(scheme.QuiescentRead(), state->items[rank]);
 }
 
 Result<std::vector<LeafCookie>> DocumentStore::DocCookies(DocId doc) const {
   LTREE_ASSIGN_OR_RETURN(const DocState* state, FindDoc(doc));
-  const ShardCtx& ctx = *shards_[state->shard];
+  const listlab::LabelStore& scheme = *shards_[state->shard]->store;
+  const listlab::LabelStore::ReadGuard guard = scheme.QuiescentRead();
   std::vector<LeafCookie> out;
   out.reserve(state->items.size());
   for (const listlab::ItemHandle handle : state->items) {
     LTREE_ASSIGN_OR_RETURN(const LeafCookie cookie,
-                           ctx.store->GetCookie(handle));
+                           scheme.CookieOf(guard, handle));
     out.push_back(cookie);
   }
   return out;
@@ -301,31 +306,14 @@ const ChangeFeed& DocumentStore::feed(uint32_t shard) const {
   return shards_[shard]->feed;
 }
 
-listlab::LabelStore::ReadGuard DocumentStore::AcquireShardRead(
-    uint32_t shard) const {
-  return shards_[shard]->store->AcquireRead();
-}
-
 std::vector<std::pair<Label, LeafCookie>> DocumentStore::ShardState(
     uint32_t shard) const {
+  // The scheme's list order is label order, its cookies are the store's,
+  // and the shard-routing rule keeps its live items equal to the shard's
+  // registered ones, so its scan is the snapshot. The guard keeps the walk
+  // safe against this shard's writer.
   const listlab::LabelStore& scheme = *shards_[shard]->store;
-  // One guard over all the reads keeps label loads safe against this
-  // shard's writer. The document registry is store-level state: edits to
-  // other shards' documents leave the fields read here untouched, but
-  // creating or dropping documents still needs the store's
-  // thread-compatible contract.
-  const listlab::LabelStore::ReadGuard guard = scheme.AcquireRead();
-  std::vector<std::pair<Label, LeafCookie>> out;
-  out.reserve(scheme.size());
-  for (const auto& [doc, state] : docs_) {
-    if (state.shard != shard) continue;
-    for (const listlab::ItemHandle handle : state.items) {
-      out.emplace_back(scheme.LabelOf(guard, handle).ValueOrDie(),
-                       scheme.CookieOf(guard, handle).ValueOrDie());
-    }
-  }
-  std::sort(out.begin(), out.end());
-  return out;
+  return scheme.ScanAll(scheme.AcquireRead());
 }
 
 // ----------------------------------------------------------- change-feed sync
@@ -484,8 +472,9 @@ audit::Report DocumentStore::ValidateStoreLevel() const {
                      std::to_string(state.shard));
     }
     const listlab::LabelStore& scheme = *shards_[state.shard]->store;
+    const listlab::LabelStore::ReadGuard guard = scheme.QuiescentRead();
     for (const listlab::ItemHandle handle : state.items) {
-      const Status resolved = scheme.GetCookie(handle).status();
+      const Status resolved = scheme.CookieOf(guard, handle).status();
       if (!resolved.ok()) {
         report.Add(doc_path, "shard-routing",
                    "item handle " + std::to_string(handle) +

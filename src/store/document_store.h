@@ -131,7 +131,8 @@ class DocumentStore {
   Result<LeafCookie> InsertBeforeRank(DocId doc, uint64_t rank);
   /// Batch insertion right after `rank` (Section 4.1 path on L-Tree
   /// schemes: one coalesced rebuild region for the whole run). On an empty
-  /// document inserts at the head.
+  /// document inserts at the head. An unknown document is NotFound, even
+  /// for `count == 0`.
   Status InsertBatchAfterRank(DocId doc, uint64_t rank, uint64_t count,
                               std::vector<LeafCookie>* cookies = nullptr);
   Status EraseAt(DocId doc, uint64_t rank);
@@ -141,6 +142,10 @@ class DocumentStore {
   Status Apply(DocId doc, const workload::ListOp& op);
 
   // -------------------------------------------------------------- queries
+  //
+  // Like every store-level read, these keep the thread-compatible
+  // contract: they read under the shard scheme's QuiescentRead, so no
+  // mutation may overlap them.
 
   Result<Label> LabelAt(DocId doc, uint64_t rank) const;
   /// The document's item cookies in document order.
@@ -148,19 +153,18 @@ class DocumentStore {
 
   /// The shard's labeling scheme, read-only (mutating it directly would
   /// desync the registry and the feed, so no mutable accessor exists).
+  /// Label reads through it under shard_store(s).AcquireRead() — LabelOf/
+  /// CookieOf/CompareOrder/ScanAll — can run while a writer mutates that
+  /// shard. The guard protects label state only; the store-level
+  /// registries (documents, feeds, subscribers) keep their
+  /// thread-compatible contract and still need external quiescence.
   const listlab::LabelStore& shard_store(uint32_t shard) const;
   const ChangeFeed& feed(uint32_t shard) const;
 
-  /// Acquires the shard scheme's read guard (a lock-free epoch pin for the
-  /// L-Tree schemes, a shared lock otherwise), so label reads through
-  /// shard_store() — LabelOf/CookieOf/CompareOrder/ScanAll — can run while
-  /// a writer mutates that shard. The guard protects label state only; the
-  /// store-level registries (documents, feeds, subscribers) keep their
-  /// thread-compatible contract and still need external quiescence.
-  listlab::LabelStore::ReadGuard AcquireShardRead(uint32_t shard) const;
-
   /// The shard's live (label, cookie) pairs, label-ordered — the snapshot
-  /// payload of CatchUp and the equivalence baseline for mirrors.
+  /// payload of CatchUp and the equivalence baseline for mirrors. The
+  /// shard scheme's own ScanAll under AcquireRead, so it is safe against
+  /// the shard's writer and reads no store-level registry.
   std::vector<std::pair<Label, LeafCookie>> ShardState(uint32_t shard) const;
 
   // ----------------------------------------------------- change-feed sync

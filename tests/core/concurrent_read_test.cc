@@ -39,9 +39,8 @@
 namespace ltree {
 namespace {
 
-// Only AcquireRead can build a guard: a default-constructed one would hold
-// neither an epoch pin nor a shared lock, yet ScanAll on a serialized
-// scheme trusts the guard to hold the lock.
+// Only AcquireRead and QuiescentRead can build a guard: a default-
+// constructed one would promise quiescence that nobody checked.
 static_assert(!std::is_default_constructible_v<listlab::LabelStore::ReadGuard>);
 
 using listlab::ItemHandle;
@@ -254,9 +253,10 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(DocStoreConcurrentReadTest, GuardedShardReadsRaceWriter) {
   // One writer appends round-robin across documents (hitting every shard)
-  // while reader threads snapshot each shard's label state through
-  // AcquireShardRead + ScanAll. Readers touch only the shard schemes —
-  // the store-level registries keep their thread-compatible contract.
+  // while reader threads snapshot each shard's label state, both through
+  // the shard scheme's AcquireRead + ScanAll and through ShardState. Readers
+  // touch only the shard schemes — the store-level registries keep their
+  // thread-compatible contract.
   auto store = store::DocumentStore::Make({.num_shards = 4,
                                            .scheme_spec = "ltree:16:4",
                                            .feed_capacity = 1 << 20})
@@ -272,17 +272,17 @@ TEST(DocStoreConcurrentReadTest, GuardedShardReadsRaceWriter) {
   std::vector<std::thread> readers;
   for (int t = 0; t < kReaders; ++t) {
     readers.emplace_back([&] {
+      const auto check = [&](const auto& scan) {
+        if (scan.empty()) violations.fetch_add(1);
+        for (size_t k = 1; k < scan.size(); ++k) {
+          if (scan[k].first <= scan[k - 1].first) violations.fetch_add(1);
+        }
+      };
       do {
         for (uint32_t shard = 0; shard < store->num_shards(); ++shard) {
-          const listlab::LabelStore::ReadGuard guard =
-              store->AcquireShardRead(shard);
-          const auto scan = store->shard_store(shard).ScanAll(guard);
-          if (scan.empty()) violations.fetch_add(1);
-          for (size_t k = 1; k < scan.size(); ++k) {
-            if (scan[k].first <= scan[k - 1].first) {
-              violations.fetch_add(1);
-            }
-          }
+          const listlab::LabelStore& scheme = store->shard_store(shard);
+          check(scheme.ScanAll(scheme.AcquireRead()));
+          check(store->ShardState(shard));
         }
         std::this_thread::yield();
       } while (!writer_done.load(std::memory_order_acquire));

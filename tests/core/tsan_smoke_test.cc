@@ -142,11 +142,16 @@ TEST(TsanSmokeTest, ConcurrentStoreReadsAcrossSchemes) {
 
     std::atomic<uint64_t> mismatches{0};
     RunConcurrently([&](int t) {
+      // The store is frozen, so any thread may read under QuiescentRead.
+      const listlab::LabelStore::ReadGuard guard = store->QuiescentRead();
       for (size_t i = static_cast<size_t>(t); i < handles.size();
            i += kThreads) {
-        auto cookie = store->GetCookie(handles[i]);
+        auto cookie = store->CookieOf(guard, handles[i]);
         if (!cookie.ok() || *cookie != i) mismatches.fetch_add(1);
-        if (!store->GetLabel(handles[i]).ok()) mismatches.fetch_add(1);
+        if (!store->LabelOf(guard, handles[i]).ok()) mismatches.fetch_add(1);
+      }
+      if (store->ScanAll(guard).size() != handles.size()) {
+        mismatches.fetch_add(1);
       }
       // The deep auditor itself must be a pure read: concurrent
       // Validate() calls are the validate-after-traverse pattern the

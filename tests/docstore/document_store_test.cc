@@ -89,6 +89,11 @@ TEST(DocumentStoreTest, DocumentLifecycle) {
   EXPECT_EQ(store->DocSize(7).ValueOrDie(), 0u);
   EXPECT_TRUE(store->DocSize(8).status().IsNotFound());
   EXPECT_TRUE(store->Append(8).status().IsNotFound());
+  // An unknown document is NotFound for every batch size, empty included.
+  EXPECT_TRUE(store->InsertBatchAfterRank(8, 0, 0).IsNotFound());
+  EXPECT_TRUE(store->InsertBatchAfterRank(8, 0, 3).IsNotFound());
+  EXPECT_TRUE(store->InsertBatchAfterRank(7, 0, 0).ok());
+  EXPECT_EQ(store->feed(store->ShardOf(7)).last_seq(), 0u);
 
   ASSERT_TRUE(store->Append(7).ok());
   ASSERT_TRUE(store->Append(7).ok());

@@ -17,6 +17,7 @@
 #include "docstore/labeled_document.h"
 #include "listlab/factory.h"
 #include "query/path_query.h"
+#include "testing/label_scan.h"
 #include "workload/xml_generator.h"
 
 namespace ltree {
@@ -47,7 +48,7 @@ TEST_P(SchemeEquivalenceTest, RandomEditScriptMatchesDomGroundTruth) {
           << spec << " diverged on " << path << " at op " << op;
     }
     // Order preservation: live labels strictly increase in list order.
-    const auto labels = store->label_store().Labels();
+    const auto labels = listlab::ScanLabels(store->label_store());
     for (size_t i = 1; i < labels.size(); ++i) {
       ASSERT_LT(labels[i - 1], labels[i])
           << spec << " labels out of order at op " << op;
@@ -138,7 +139,8 @@ TEST(SchemeStatsFidelityTest, MaterializedAndVirtualAgreeOnCostStats) {
   run_script(*mat);
   run_script(*virt);
 
-  EXPECT_EQ(mat->label_store().Labels(), virt->label_store().Labels());
+  EXPECT_EQ(listlab::ScanLabels(mat->label_store()),
+            listlab::ScanLabels(virt->label_store()));
   const MaintStats ms = mat->label_store().stats();
   const MaintStats vs = virt->label_store().stats();
   EXPECT_EQ(ms.inserts, vs.inserts);
@@ -177,12 +179,12 @@ TEST_P(BatchEdgeCaseTest, EmptyBatchIsNoopEverywhere) {
   std::vector<listlab::ItemHandle> handles;
   ASSERT_TRUE(store->BulkLoad(8, &handles).ok());
   store->ResetStats();
-  const auto labels_before = store->Labels();
+  const auto labels_before = listlab::ScanLabels(*store);
   EXPECT_TRUE(store->InsertBatchAfter(handles[3], {}).ok());
   EXPECT_TRUE(store->InsertBatchBefore(handles[0], {}).ok());
   EXPECT_TRUE(store->PushBackBatch({}).ok());
   EXPECT_EQ(store->size(), 8u);
-  EXPECT_EQ(store->Labels(), labels_before);
+  EXPECT_EQ(listlab::ScanLabels(*store), labels_before);
   EXPECT_EQ(store->stats().inserts, 0u);
   EXPECT_EQ(store->stats().relabel_passes, 0u);
 }
@@ -197,12 +199,14 @@ TEST_P(BatchEdgeCaseTest, InsertBatchBeforeHead) {
   ASSERT_EQ(fresh.size(), 3u);
   EXPECT_EQ(store->size(), 9u);
   // The batch lands, in order, strictly before the old head.
+  const listlab::LabelStore::ReadGuard guard = store->QuiescentRead();
   for (size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(*store->GetCookie(fresh[i]), batch[i]);
+    EXPECT_EQ(*store->CookieOf(guard, fresh[i]), batch[i]);
   }
-  EXPECT_LT(*store->GetLabel(fresh[0]), *store->GetLabel(fresh[1]));
-  EXPECT_LT(*store->GetLabel(fresh[1]), *store->GetLabel(fresh[2]));
-  EXPECT_LT(*store->GetLabel(fresh[2]), *store->GetLabel(handles[0]));
+  EXPECT_LT(*store->LabelOf(guard, fresh[0]), *store->LabelOf(guard, fresh[1]));
+  EXPECT_LT(*store->LabelOf(guard, fresh[1]), *store->LabelOf(guard, fresh[2]));
+  EXPECT_LT(*store->LabelOf(guard, fresh[2]),
+            *store->LabelOf(guard, handles[0]));
   EXPECT_TRUE(store->Validate().ok());
 }
 
@@ -213,13 +217,14 @@ TEST_P(BatchEdgeCaseTest, PushBackBatchOnEmptyStore) {
   ASSERT_TRUE(store->PushBackBatch(batch, &fresh).ok());
   ASSERT_EQ(fresh.size(), 4u);
   EXPECT_EQ(store->size(), 4u);
-  const auto labels = store->Labels();
+  const auto labels = listlab::ScanLabels(*store);
   ASSERT_EQ(labels.size(), 4u);
   for (size_t i = 1; i < labels.size(); ++i) {
     EXPECT_LT(labels[i - 1], labels[i]);
   }
+  const listlab::LabelStore::ReadGuard guard = store->QuiescentRead();
   for (size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(*store->GetCookie(fresh[i]), batch[i]);
+    EXPECT_EQ(*store->CookieOf(guard, fresh[i]), batch[i]);
   }
   EXPECT_TRUE(store->Validate().ok());
 }
@@ -232,14 +237,14 @@ TEST_P(BatchEdgeCaseTest, FailedBatchLeavesStoreUntouched) {
   ASSERT_TRUE(store->BulkLoad(8, &handles).ok());
   ASSERT_TRUE(store->Erase(handles[4]).ok());
   store->ResetStats();
-  const auto labels_before = store->Labels();
+  const auto labels_before = listlab::ScanLabels(*store);
   const std::vector<LeafCookie> batch{200, 201};
   Status st = store->InsertBatchAfter(handles[4], batch);
   EXPECT_FALSE(st.ok()) << GetParam();
   st = store->InsertBatchBefore(handles[4], batch);
   EXPECT_FALSE(st.ok()) << GetParam();
   EXPECT_EQ(store->size(), 7u);
-  EXPECT_EQ(store->Labels(), labels_before);
+  EXPECT_EQ(listlab::ScanLabels(*store), labels_before);
   EXPECT_EQ(store->stats().inserts, 0u);
   EXPECT_TRUE(store->Validate().ok());
 }

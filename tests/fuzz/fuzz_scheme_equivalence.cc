@@ -20,6 +20,7 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "listlab/factory.h"
@@ -81,20 +82,21 @@ void CheckEquivalence(const SchemeState& scheme,
   if (scheme.handles.size() != oracle.size()) {
     Die(scheme, "handle bookkeeping out of sync");
   }
-  Label prev = 0;
+  const LabelStore::ReadGuard guard = store.QuiescentRead();
+  std::vector<std::pair<Label, LeafCookie>> walked;
   for (size_t i = 0; i < oracle.size(); ++i) {
-    const auto cookie = store.GetCookie(scheme.handles[i]);
+    const auto cookie = store.CookieOf(guard, scheme.handles[i]);
     if (!cookie.ok() || *cookie != oracle[i]) Die(scheme, "cookie mismatch");
-    const auto label = store.GetLabel(scheme.handles[i]);
+    const auto label = store.LabelOf(guard, scheme.handles[i]);
     if (!label.ok()) Die(scheme, "live handle has no label");
-    if (i > 0 && *label <= prev) Die(scheme, "labels not increasing");
-    prev = *label;
+    if (i > 0 && *label <= walked.back().first) {
+      Die(scheme, "labels not increasing");
+    }
+    walked.emplace_back(*label, *cookie);
   }
-  // Labels() is the store's own notion of live list order; it must agree
+  // ScanAll is the store's own notion of live list order; it must agree
   // with the per-handle walk above.
-  if (store.Labels().size() != oracle.size()) {
-    Die(scheme, "Labels() size mismatch");
-  }
+  if (store.ScanAll(guard) != walked) Die(scheme, "ScanAll mismatch");
 }
 
 void CheckValidate(const SchemeState& scheme) {

@@ -1,19 +1,23 @@
-// Cross-scheme insert contract: every public insert form of LabelStore
-// (InsertAfter, InsertBefore, PushBack and their batch forms), on every
-// scheme family, against a std::vector oracle. All six forms wrap the one
+// Cross-scheme insert and read contract, on every scheme family, against a
+// std::vector oracle. Inserts: every public insert form of LabelStore
+// (InsertAfter, InsertBefore, PushBack and their batch forms) wraps the one
 // LabelStore::Insert, so they must agree on where items land, on the
-// handles they return, and on how a bad anchor fails.
+// handles they return, and on how a bad anchor fails. Reads: LabelOf,
+// CookieOf and ScanAll must give the same answers under either guard.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
 #include "listlab/factory.h"
 #include "listlab/order_maintainer.h"
+#include "testing/label_scan.h"
 
 namespace ltree {
 namespace listlab {
@@ -152,8 +156,9 @@ TEST_P(InsertContractTest, EveryFormLandsWhereTheOracleSays) {
       handles.insert(handles.begin() + static_cast<ptrdiff_t>(at),
                      fresh->begin(), fresh->end());
       ASSERT_EQ(ScanCookies(*store), oracle) << ctx;
+      const LabelStore::ReadGuard guard = store->QuiescentRead();
       for (size_t i = 0; i < k; ++i) {
-        ASSERT_EQ(*store->GetCookie((*fresh)[i]), cookies[i]) << ctx;
+        ASSERT_EQ(*store->CookieOf(guard, (*fresh)[i]), cookies[i]) << ctx;
       }
     }
     // Erase one item so later anchors sit next to tombstones (L-Tree) or
@@ -173,7 +178,7 @@ TEST_P(InsertContractTest, BadAnchorIsNotFoundForEverySpan) {
   ASSERT_TRUE(store->BulkLoad(8, &handles).ok());
   ASSERT_TRUE(store->Erase(handles[4]).ok());
   store->ResetStats();
-  const std::vector<Label> labels_before = store->Labels();
+  const std::vector<Label> labels_before = ScanLabels(*store);
   const std::vector<LeafCookie> cookies{200, 201};
   const ItemHandle unknown = 999;
   const ItemHandle erased = handles[4];
@@ -190,7 +195,7 @@ TEST_P(InsertContractTest, BadAnchorIsNotFoundForEverySpan) {
     }
   }
   EXPECT_EQ(store->size(), 7u);
-  EXPECT_EQ(store->Labels(), labels_before);
+  EXPECT_EQ(ScanLabels(*store), labels_before);
   EXPECT_EQ(store->stats().inserts, 0u);
   EXPECT_TRUE(store->Validate().ok());
 }
@@ -205,6 +210,87 @@ TEST_P(InsertContractTest, BackIgnoresTheAnchor) {
   ASSERT_EQ(fresh.size(), 3u);
   EXPECT_EQ(fresh[0], *first);
   EXPECT_EQ(ScanCookies(*store), cookies);
+  EXPECT_TRUE(store->Validate().ok());
+}
+
+constexpr LeafCookie kNoCookie = ~LeafCookie{0};
+
+/// What one guard lets a reader see: the scan, LabelOf/CookieOf of every
+/// live handle in list order (kInvalidLabel and kNoCookie where a read
+/// failed), and whether both reads of every dead handle are NotFound.
+struct ReadView {
+  std::vector<std::pair<Label, LeafCookie>> scan;
+  std::vector<std::pair<Label, LeafCookie>> live;
+  bool dead_not_found = true;
+};
+
+ReadView ReadUnder(const LabelStore& store, const LabelStore::ReadGuard& guard,
+                   std::span<const ItemHandle> live,
+                   std::span<const ItemHandle> dead) {
+  ReadView view;
+  view.scan = store.ScanAll(guard);
+  for (const ItemHandle h : live) {
+    view.live.emplace_back(store.LabelOf(guard, h).ValueOr(kInvalidLabel),
+                           store.CookieOf(guard, h).ValueOr(kNoCookie));
+  }
+  for (const ItemHandle h : dead) {
+    view.dead_not_found = view.dead_not_found &&
+                          store.LabelOf(guard, h).status().IsNotFound() &&
+                          store.CookieOf(guard, h).status().IsNotFound();
+  }
+  return view;
+}
+
+// The read contract: LabelOf and CookieOf answer the same under
+// QuiescentRead and AcquireRead, match ScanAll for every live handle, and
+// are NotFound for unknown and erased handles; ScanAll omits erased items.
+TEST_P(InsertContractTest, ReadsAgreeUnderBothGuards) {
+  auto store = MakeLabelStore(GetParam()).ValueOrDie();
+  std::vector<ItemHandle> order;  // the oracle: list order, both vectors
+  ASSERT_TRUE(store->BulkLoad(16, &order).ok());
+  std::vector<LeafCookie> oracle(16);
+  std::iota(oracle.begin(), oracle.end(), LeafCookie{0});
+
+  // Erase a band, then pile inserts onto both of its edges until splits
+  // rebuild the region around it (a purging scheme frees the band's
+  // leaves, and the erased handles must still answer NotFound).
+  std::vector<ItemHandle> dead(order.begin() + 6, order.begin() + 10);
+  for (const ItemHandle h : dead) ASSERT_TRUE(store->Erase(h).ok());
+  order.erase(order.begin() + 6, order.begin() + 10);
+  oracle.erase(oracle.begin() + 6, oracle.begin() + 10);
+  const ItemHandle left = order[5];
+  const ItemHandle right = order[6];
+  for (LeafCookie c = 100; c < 164; ++c) {
+    const Where where = c % 2 == 0 ? Where::kAfter : Where::kBefore;
+    const ItemHandle anchor = where == Where::kAfter ? left : right;
+    auto h = store->Insert(where, anchor, {&c, 1});
+    ASSERT_TRUE(h.ok()) << h.status().ToString();
+    const auto at = std::find(order.begin(), order.end(), anchor);
+    const ptrdiff_t i = (at - order.begin()) + (where == Where::kAfter ? 1 : 0);
+    order.insert(order.begin() + i, *h);
+    oracle.insert(oracle.begin() + i, c);
+  }
+  if (store->erase_semantics() == EraseSemantics::kTombstonePurge) {
+    ASSERT_GT(store->stats().tombstones_purged, 0u);
+  }
+  dead.push_back(999999);
+  dead.push_back(kInvalidItemHandle);
+
+  const ReadView quiescent =
+      ReadUnder(*store, store->QuiescentRead(), order, dead);
+  const ReadView acquired =
+      ReadUnder(*store, store->AcquireRead(), order, dead);
+  EXPECT_EQ(quiescent.scan, acquired.scan);
+  EXPECT_EQ(quiescent.live, acquired.live);
+  // Per-item reads match the scan at every live handle's list position,
+  // and the scan holds nothing else: erased items are omitted.
+  EXPECT_EQ(quiescent.live, quiescent.scan);
+  EXPECT_EQ(quiescent.scan.size(), store->size());
+  std::vector<LeafCookie> scanned;
+  for (const auto& [label, cookie] : quiescent.scan) scanned.push_back(cookie);
+  EXPECT_EQ(scanned, oracle);
+  EXPECT_TRUE(quiescent.dead_not_found);
+  EXPECT_TRUE(acquired.dead_not_found);
   EXPECT_TRUE(store->Validate().ok());
 }
 

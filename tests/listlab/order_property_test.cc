@@ -9,6 +9,7 @@
 
 #include "common/random.h"
 #include "listlab/factory.h"
+#include "testing/label_scan.h"
 
 namespace ltree {
 namespace listlab {
@@ -26,12 +27,14 @@ TEST_P(OrderPropertyTest, LabelsMatchListOrderUnderRandomOps) {
     const uint64_t action = rng.Uniform(10);
     if (action < 6 || order.size() < 4) {
       const size_t r = static_cast<size_t>(rng.Uniform(order.size()));
-      auto id = maintainer->InsertAfter(order[r], 1000 + static_cast<LeafCookie>(op));
+      auto id = maintainer->InsertAfter(order[r],
+                                        1000 + static_cast<LeafCookie>(op));
       ASSERT_TRUE(id.ok()) << "op " << op;
       order.insert(order.begin() + static_cast<long>(r) + 1, *id);
     } else if (action < 7) {
       const size_t r = static_cast<size_t>(rng.Uniform(order.size()));
-      auto id = maintainer->InsertBefore(order[r], 1000 + static_cast<LeafCookie>(op));
+      auto id = maintainer->InsertBefore(order[r],
+                                         1000 + static_cast<LeafCookie>(op));
       ASSERT_TRUE(id.ok()) << "op " << op;
       order.insert(order.begin() + static_cast<long>(r), *id);
     } else if (action < 8) {
@@ -47,11 +50,12 @@ TEST_P(OrderPropertyTest, LabelsMatchListOrderUnderRandomOps) {
       // Determine which by comparing labels against current extremes.
       // (Simpler: just re-check via labels at verification time; here we
       // need order[], so place by label.)
-      Label l = *maintainer->GetLabel(*id);
+      const LabelStore::ReadGuard guard = maintainer->QuiescentRead();
+      Label l = *maintainer->LabelOf(guard, *id);
       bool placed = false;
       if (!order.empty()) {
-        Label first = *maintainer->GetLabel(order.front());
-        Label last = *maintainer->GetLabel(order.back());
+        Label first = *maintainer->LabelOf(guard, order.front());
+        Label last = *maintainer->LabelOf(guard, order.back());
         if (l < first) {
           order.insert(order.begin(), *id);
           placed = true;
@@ -77,10 +81,11 @@ TEST_P(OrderPropertyTest, LabelsMatchListOrderUnderRandomOps) {
 
   // Final verification: labels strictly increase along the reference order.
   ASSERT_EQ(maintainer->size(), order.size());
+  const LabelStore::ReadGuard guard = maintainer->QuiescentRead();
   Label prev = 0;
   bool first = true;
   for (ItemHandle id : order) {
-    auto l = maintainer->GetLabel(id);
+    auto l = maintainer->LabelOf(guard, id);
     ASSERT_TRUE(l.ok());
     if (!first) {
       ASSERT_GT(*l, prev);
@@ -88,11 +93,11 @@ TEST_P(OrderPropertyTest, LabelsMatchListOrderUnderRandomOps) {
     prev = *l;
     first = false;
   }
-  // Labels() agrees with per-item queries.
-  auto labels = maintainer->Labels();
+  // The scan's label column agrees with per-item queries.
+  auto labels = ScanLabels(*maintainer);
   ASSERT_EQ(labels.size(), order.size());
   for (size_t i = 0; i < order.size(); ++i) {
-    EXPECT_EQ(labels[i], *maintainer->GetLabel(order[i]));
+    EXPECT_EQ(labels[i], *maintainer->LabelOf(guard, order[i]));
   }
   ASSERT_TRUE(maintainer->Validate().ok());
 }
